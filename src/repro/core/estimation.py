@@ -21,12 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .market import Market
+import numpy as np
 
-try:  # pragma: no cover - numpy is baked into the image
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
+from .market import Market
 
 #: demand estimator: (task_id, cluster_id) -> steady-state demand in PUs.
 DemandLookup = Callable[[str, str], float]
@@ -425,7 +422,7 @@ class SteadyStateEstimator:
                     continue
                 core_supply = cluster.supply_ladder[target_level]
                 core_saturated = core_demands[core_id] > core_supply + _EPS
-                if _np is not None and len(tids) >= _VEC_EVAL_MIN_TASKS:
+                if len(tids) >= _VEC_EVAL_MIN_TASKS:
                     # Vectorized per-task arithmetic: every expression is
                     # the elementwise image of the scalar branch below
                     # (the priority sum keeps its left-to-right fold), so
@@ -433,7 +430,7 @@ class SteadyStateEstimator:
                     # insertion order.
                     prio_list = [market.tasks[t].priority for t in tids]
                     priority_sum = sum(prio_list)
-                    d = _np.asarray(
+                    d = np.asarray(
                         [self._demand(t, cluster_id) for t in tids]
                     )
                     positive = d > 0.0
@@ -442,20 +439,20 @@ class SteadyStateEstimator:
                     else:
                         supply_arr = (
                             core_supply
-                            * _np.asarray(prio_list, dtype=float)
+                            * np.asarray(prio_list, dtype=float)
                             / priority_sum
                         )
-                        supply_arr = _np.where(
-                            positive, _np.minimum(supply_arr, d), supply_arr
+                        supply_arr = np.where(
+                            positive, np.minimum(supply_arr, d), supply_arr
                         )
-                    ratio_arr = _np.where(
+                    ratio_arr = np.where(
                         positive,
-                        _np.minimum(
-                            1.0, supply_arr / _np.where(positive, d, 1.0)
+                        np.minimum(
+                            1.0, supply_arr / np.where(positive, d, 1.0)
                         ),
                         1.0,
                     )
-                    bid_arr = _np.maximum(
+                    bid_arr = np.maximum(
                         supply_arr * price, market.config.bmin
                     )
                     ratios.update(zip(tids, ratio_arr.tolist()))

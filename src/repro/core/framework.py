@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..hw.sensors import SensorReadError, SensorSample
-from ..sim.engine import Simulation
+from ..sim.engine import VEC_MIN_TASKS, Simulation
 from ..tasks.demand import demand_for_range
 from ..tasks.estimation import OnlineDemandEstimator
 from ..tasks.task import Task
@@ -411,18 +413,14 @@ class PPMGovernor:
         observation gather served straight from the columnar engine's
         buffers when available.
         """
-        from .market import _VEC_MIN_TASKS
-        from . import vecmarket
-
         tasks_by_id = self._tasks_by_id
-        if not (vecmarket.AVAILABLE and len(tasks_by_id) >= _VEC_MIN_TASKS):
+        if len(tasks_by_id) < VEC_MIN_TASKS:
             # Scalar path reads Task attributes: observation barrier.
             sim.sync()
             return {
                 task_id: self._demand_of(sim, task)
                 for task_id, task in tasks_by_id.items()
             }
-        import numpy as np
 
         cache = self._demand_vec_cache
         if cache is None or cache.stamp != self._demand_cache_stamp:
@@ -681,10 +679,6 @@ class PPMGovernor:
         the caller falls back to the scalar loop.
         """
         if self.online_estimator is not None:
-            return None
-        try:
-            import numpy as np
-        except Exception:  # pragma: no cover - numpy is baked into the image
             return None
         market = self.market
         stamp = market.structure_stamp

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import market as _market_mod
+from ..sim.engine import VEC_MIN_TASKS
 from . import vecestimate
 from .estimation import (
     MappingEstimate,
@@ -220,10 +220,7 @@ class LBTModule:
         # (per-task ratios are bit-identical either way; aggregate spends
         # can differ in the last ulp, hence the shared gate).
         batch = None
-        if (
-            vecestimate.AVAILABLE
-            and len(market.tasks) >= _market_mod._VEC_MIN_TASKS
-        ):
+        if len(market.tasks) >= VEC_MIN_TASKS:
             batch = self._batch_eval
             if batch is None:
                 batch = vecestimate.BatchMappingEvaluator(

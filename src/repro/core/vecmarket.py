@@ -26,13 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-try:  # pragma: no cover - exercised implicitly by every import site
-    import numpy as np
-except Exception:  # pragma: no cover - numpy is baked into the image
-    np = None  # type: ignore[assignment]
-
-#: Whether the vectorized path can be used at all.
-AVAILABLE = np is not None
+import numpy as np
 
 
 def ordered_core_sums(values: "np.ndarray", core_ix: "np.ndarray", n_cores: int) -> "np.ndarray":
@@ -179,13 +173,7 @@ def compute_grants_batch(
     return grants
 
 
-def _require_numpy() -> None:
-    if np is None:  # pragma: no cover - numpy is baked into the image
-        raise RuntimeError("vectorized market kernels require numpy")
-
-
 __all__ = [
-    "AVAILABLE",
     "ordered_core_sums",
     "clear_prices",
     "grants_at_prices",

@@ -246,17 +246,6 @@ class FullSimPoint:
     ticks: int
     columnar_ticks_per_s: float
     object_ticks_per_s: float
-    #: Columnar engine forced to per-tick write-through
-    #: (``REPRO_COLUMNAR_SYNC=eager``); the gap to the lazy default is
-    #: the measured cost of materialising the object view every tick.
-    eager_ticks_per_s: float = 0.0
-
-    @property
-    def write_through_cost_pct(self) -> float:
-        """Throughput lost to eager per-tick write-through, in percent."""
-        if self.columnar_ticks_per_s <= 0.0 or self.eager_ticks_per_s <= 0.0:
-            return 0.0
-        return 100.0 * (1.0 - self.eager_ticks_per_s / self.columnar_ticks_per_s)
 
     @property
     def speedup(self) -> float:
@@ -276,25 +265,19 @@ class FullSimPoint:
         return self.ms_per_tick * (MIGRATION_INTERVAL_MS / 10.0)
 
 
-def _time_full_sim(
-    n_tasks: int, sim_s: float, engine: str, sync_mode: Optional[str] = None
-) -> float:
-    """Ticks/s of one full simulation run at ``n_tasks`` tasks."""
+def _time_full_sim(n_tasks: int, sim_s: float, engine: type) -> float:
+    """Ticks/s of one full run of the ``engine`` class at ``n_tasks`` tasks."""
     from ..hw import tc2_chip
-    from ..sim import SimConfig, Simulation
+    from ..sim import SimConfig
     from ..tasks import random_tasks
     from .harness import make_governor
 
-    sim = Simulation(
+    sim = engine(
         tc2_chip(),
         random_tasks(n_tasks, seed=7),
         make_governor("PPM", power_cap_w=8.0),
-        config=SimConfig(
-            seed=7, metrics_warmup_s=sim_s / 4.0, engine=engine
-        ),
+        config=SimConfig(seed=7, metrics_warmup_s=sim_s / 4.0),
     )
-    if sync_mode is not None:
-        sim.sync_mode = sync_mode
     start = time.perf_counter()
     sim.run(sim_s)
     elapsed = time.perf_counter() - start
@@ -314,19 +297,20 @@ def full_sim_points(
     (``tests/sim/test_columnar_equivalence.py``), so the speedup column
     is a pure implementation comparison.
     """
+    from ..sim.columnar import ColumnarSimulation
+    from ..sim.engine import ObjectSimulation
+
     # Warm-up run: the first simulation in a process pays allocator and
-    # CPU-frequency ramp costs that would bias whichever column runs
-    # first (the lazy-vs-eager delta is small enough to be swamped).
-    _time_full_sim(50, 0.3, "columnar", "lazy")
+    # CPU-frequency ramp costs that would bias whichever column runs first.
+    _time_full_sim(50, 0.3, ColumnarSimulation)
 
     def _best(*args) -> float:
         return max(_time_full_sim(*args) for _ in range(max(1, repeats)))
 
     points = []
     for n_tasks, sim_s in sizes:
-        columnar = _best(n_tasks, sim_s, "columnar", "lazy")
-        eager = _best(n_tasks, sim_s, "columnar", "eager")
-        obj = _best(n_tasks, sim_s, "object")
+        columnar = _best(n_tasks, sim_s, ColumnarSimulation)
+        obj = _best(n_tasks, sim_s, ObjectSimulation)
         points.append(
             FullSimPoint(
                 tasks=n_tasks,
@@ -334,7 +318,6 @@ def full_sim_points(
                 ticks=round(sim_s / 0.01),
                 columnar_ticks_per_s=columnar,
                 object_ticks_per_s=obj,
-                eager_ticks_per_s=eager,
             )
         )
     return points
@@ -354,8 +337,6 @@ def table7_extended(
             p.tasks,
             p.ticks,
             f"{p.columnar_ticks_per_s:.1f}",
-            f"{p.eager_ticks_per_s:.1f}",
-            f"{p.write_through_cost_pct:.1f}",
             f"{p.object_ticks_per_s:.1f}",
             f"{p.speedup:.2f}",
             f"{p.ms_per_tick:.2f}",
@@ -367,9 +348,7 @@ def table7_extended(
         [
             "tasks",
             "ticks",
-            "lazy t/s",
-            "eager t/s",
-            "write-through [%]",
+            "columnar t/s",
             "object t/s",
             "speedup",
             "ms/tick",
@@ -378,7 +357,7 @@ def table7_extended(
         rows,
         title=(
             "Table 7 (extended): full-engine wall cost at scale "
-            "(columnar lazy/eager vs object tick loop)"
+            "(columnar vs object tick loop)"
         ),
     )
     return points, sim_points, text + "\n\n" + extra

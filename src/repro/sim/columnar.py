@@ -4,9 +4,10 @@
 -- dispatch, load tracking, heart-rate monitoring, metrics capture -- as
 vectorized passes over struct-of-arrays numpy buffers; the ``Task``
 object graph becomes a lazily-materialised *view* of those buffers,
-refreshed at observation boundaries.  Selected via
-``SimConfig(engine="columnar")`` (the default); ``engine="object"``
-forces the reference loop.
+refreshed at observation boundaries.  ``Simulation(...)`` builds it
+for populations of :data:`~repro.sim.engine.VEC_MIN_TASKS` tasks or more
+and the object loop below; construct the class directly to run it at
+any size.
 
 Design invariants (enforced by ``tests/sim/test_columnar_equivalence.py``
 and ``tests/sim/test_sync_barrier.py``):
@@ -25,13 +26,11 @@ and ``tests/sim/test_sync_barrier.py``):
   fault-injection window activation, checkpoint snapshots, audit passes
   and the end of :meth:`Simulation.run`.  Per-column dirty epochs (tick
   stamps) make the barrier a no-op when nothing changed.  The floats a
-  barrier materialises are exactly the floats per-tick write-through
-  would have produced, so observers cannot distinguish the modes.
-  ``REPRO_COLUMNAR_SYNC`` selects the policy: ``lazy`` (default),
-  ``eager`` (write-through every tick, the pre-barrier behaviour) or
-  ``poison`` (lazy, plus a debug sentinel written to the view attributes
-  between barriers so an unsynchronised read raises
-  :class:`PoisonedStateError` instead of returning a stale float).
+  barrier materialises are exactly the floats the object loop's per-tick
+  writes produce, so observers cannot tell the loops apart.  As a debug
+  check, setting :attr:`ColumnarSimulation.poison` writes a sentinel to
+  the view attributes between barriers, so an unsynchronised read raises
+  :class:`PoisonedStateError` instead of returning a stale float.
   Out-of-band *mutators* of hot attributes must still call
   :meth:`Simulation.invalidate_task_cache` afterwards (which itself
   syncs first), exactly as before.
@@ -54,26 +53,20 @@ import math
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly via AVAILABLE
-    import numpy as np
-
-    AVAILABLE = True
-except ImportError:  # pragma: no cover - toolchain bakes numpy in
-    np = None  # type: ignore[assignment]
-    AVAILABLE = False
+import numpy as np
 
 from ..tasks.heartbeats import HeartRateMonitor
 from ..tasks.phases import ConstantPhase, SinusoidalPhases, SquareWavePhases
 from ..tasks.task import Task
-from .engine import Simulation, default_sync_mode
+from .engine import Simulation
 from .metrics import MetricsCollector, TaskSample, TickColumnBuffer, TickSample
 
 
 class PoisonedStateError(RuntimeError):
-    """An object attribute was read between sync barriers (poison mode).
+    """An object attribute was read between sync barriers.
 
-    Raised when ``REPRO_COLUMNAR_SYNC=poison`` and code consumes a
-    ``Task`` hot attribute without an intervening
+    Raised when :attr:`ColumnarSimulation.poison` is set and code consumes
+    a ``Task`` hot attribute without an intervening
     :meth:`ColumnarSimulation.sync`; the fix is a ``sim.sync()`` call at
     the offending observation site, never a re-pin of expected values.
     """
@@ -98,7 +91,7 @@ class _Poison:
     def _trap(self, *_args, **_kwargs):
         raise PoisonedStateError(
             f"unsynchronised read of Task.{self._attr}: the columnar engine "
-            "is in poison mode and no sync() barrier ran since the last "
+            "is poisoned and no sync() barrier ran since the last "
             "tick; call sim.sync() at the observation site"
         )
 
@@ -740,8 +733,8 @@ class ColumnarMetrics(MetricsCollector):
 class ColumnarSimulation(Simulation):
     """Simulation with the struct-of-arrays hot loop.
 
-    Constructed transparently by ``Simulation(...)`` when
-    ``SimConfig.engine == "columnar"`` and numpy is importable.
+    Constructed by ``Simulation(...)`` from
+    :data:`~repro.sim.engine.VEC_MIN_TASKS` initial tasks up.
     """
 
     def __init__(self, chip, tasks, governor, config=None, migration_cost_model=None):
@@ -760,12 +753,11 @@ class ColumnarSimulation(Simulation):
         # (starts, ends, max_start, all_unbounded) for the vector
         # active-task scan; rebuilt on invalidate_task_cache.
         self._task_window: Optional[tuple] = None
-        #: Write-through policy: "lazy" | "eager" | "poison".  Read every
-        #: tick, so tests may flip it between steps; the value changes
-        #: when barriers run, never what they materialise.
-        self.sync_mode: str = default_sync_mode()
-        #: Barriers that actually flushed state (observability for tests
-        #: and the lazy-vs-eager benchmark column).
+        #: Debug check for tests: poison the hot view attributes between
+        #: barriers so an unsynchronised read raises.  Read every tick;
+        #: it changes no value a barrier materialises.
+        self.poison = False
+        #: Barriers that actually flushed state (observability for tests).
         self.sync_count: int = 0
         # Per-column dirty epochs: tick stamp of the last unflushed column
         # write vs. the stamp the object view was last materialised at.
@@ -1456,10 +1448,11 @@ class ColumnarSimulation(Simulation):
         # (and re-write sup/con/dem) on the next hot tick.
         ep.g_key = None
 
-        # Rare tick (arrival/retire/freeze window): run it fully eager.
-        # The barrier first flushes whatever the lazy fast path deferred
-        # -- in particular load-dict values of rows inactive this tick,
-        # which the masked update below would otherwise leave stale.
+        # Rare tick (arrival/retire/freeze window): write every attribute
+        # through, as the object loop does.  The barrier first flushes
+        # whatever the fast path deferred -- in particular load-dict
+        # values of rows inactive this tick, which the masked update
+        # below would otherwise leave stale.
         self.sync()
 
         active = (now >= ep.start) & (now < ep.end)
@@ -1662,13 +1655,11 @@ class ColumnarSimulation(Simulation):
         consumption additionally on the phase multiplier.  Both layers are
         cached and reused until one of their inputs changes, so between
         market rounds a tick reduces to the genuinely time-varying work:
-        beat/work accumulation, the load EWMA fold, heart-rate ring
-        appends and -- in eager mode only -- the attribute write-back.
-        Lazy mode marks the written columns dirty instead and leaves the
-        object view to the next :meth:`sync` barrier.
+        beat/work accumulation, the load EWMA fold and heart-rate ring
+        appends.  The written columns are marked dirty; the object view
+        waits for the next :meth:`sync` barrier.
         """
         tasks = ep.tasks
-        eager = self.sync_mode == "eager"
         if self._grant_inputs_dirty or ep.alloc_has is None:
             ep.refresh_grant_inputs(self._allocations, self._weights)
             self._grant_inputs_dirty = False
@@ -1717,24 +1708,15 @@ class ColumnarSimulation(Simulation):
             ep.sup[...] = grants
             ep.con[...] = cons
             ep.dem[...] = demand
-            if eager:
-                sl = grants.tolist()
-                cl_ = cons.tolist()
-                dl = demand.tolist()
-                for t, ts, tc, td in zip(tasks, sl, cl_, dl):
-                    t.last_supply_pus = ts
-                    t.last_consumed_pus = tc
-                    t.last_demand_pus = td
-            else:
-                # Stamp with tick_index + 1: tick_index is 0-based and the
-                # synced stamps start at 0, so tick 0's writes must land
-                # strictly above them.
-                dirty = self._col_dirty
-                ti = self.tick_index + 1
-                dirty["sup"] = dirty["con"] = dirty["dem"] = ti
-                self._view_dirty = True
+            # Stamp with tick_index + 1: tick_index is 0-based and the
+            # synced stamps start at 0, so tick 0's writes must land
+            # strictly above them.
+            dirty = self._col_dirty
+            ti = self.tick_index + 1
+            dirty["sup"] = dirty["con"] = dirty["dem"] = ti
+            self._view_dirty = True
 
-        # Time-varying tail: accumulate, fold, record, write back.
+        # Time-varying tail: accumulate, fold, record.
         ep.beats += ep.g_beats_inc
         ep.work += ep.g_work_inc
         for core, u in zip(ep.cores, ep.g_util):
@@ -1743,14 +1725,11 @@ class ColumnarSimulation(Simulation):
         load = ep.load
         if ep.all_has_load:
             np.add(decay * load, ep.g_load_c, out=load)
-            if eager:
-                self.load_tracker.update_many(zip(tasks, load.tolist()))
-            else:
-                # Every key is already present, so deferring the dict
-                # write cannot change insertion order; sync() updates
-                # values in place.
-                self._col_dirty["load"] = self.tick_index + 1
-                self._view_dirty = True
+            # Every key is already present, so deferring the dict write
+            # cannot change insertion order; sync() updates values in
+            # place.
+            self._col_dirty["load"] = self.tick_index + 1
+            self._view_dirty = True
         else:
             prev = np.where(ep.has_load, load, ep.g_inst)
             np.add(decay * prev, ep.g_load_c, out=load)
@@ -1758,7 +1737,7 @@ class ColumnarSimulation(Simulation):
             ep.all_has_load = True
             # First fold for some rows: the dict update below may insert
             # new keys, whose position is part of the checkpoint bytes --
-            # stay eager regardless of mode.
+            # so write through now.
             self.load_tracker.update_many(zip(tasks, load.tolist()))
 
         t_new = now + dt
@@ -1773,28 +1752,20 @@ class ColumnarSimulation(Simulation):
             ep.rings.stamp += 1
 
         # sup/con/dem are unchanged on cache-hit ticks, so only the
-        # accumulating attributes need the write-through (eager mode);
-        # lazy mode marks the columns and lets the barrier materialise.
-        if eager:
-            bl = ep.beats.tolist()
-            wl = ep.work.tolist()
-            for t, tb, tw in zip(tasks, bl, wl):
-                t.total_beats = tb
-                t.total_work_pu_s = tw
-        else:
-            dirty = self._col_dirty
-            ti = self.tick_index + 1
-            dirty["beats"] = dirty["work"] = ti
-            self._view_dirty = True
-            if self.sync_mode == "poison" and not self._poisoned:
-                pb, pw, ps, pc, pd = _POISONS
-                for t in tasks:
-                    t.total_beats = pb
-                    t.total_work_pu_s = pw
-                    t.last_supply_pus = ps
-                    t.last_consumed_pus = pc
-                    t.last_demand_pus = pd
-                self._poisoned = True
+        # accumulating columns are marked for the barrier here.
+        dirty = self._col_dirty
+        ti = self.tick_index + 1
+        dirty["beats"] = dirty["work"] = ti
+        self._view_dirty = True
+        if self.poison and not self._poisoned:
+            pb, pw, ps, pc, pd = _POISONS
+            for t in tasks:
+                t.total_beats = pb
+                t.total_work_pu_s = pw
+                t.last_supply_pus = ps
+                t.last_consumed_pus = pc
+                t.last_demand_pus = pd
+            self._poisoned = True
 
         active_list = self._active_now()
         placement = self.placement

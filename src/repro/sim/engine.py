@@ -16,8 +16,7 @@ bid round is ~32 ms).
 from __future__ import annotations
 
 import hashlib
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence
 
 from ..hw.energy import EnergyMeter
@@ -63,39 +62,13 @@ class Governor(Protocol):
         """Called every tick before supply is dispatched."""
 
 
-def default_engine() -> str:
-    """The tick-loop implementation ``SimConfig`` defaults to.
-
-    ``REPRO_ENGINE`` overrides the default process-wide; since engine
-    choice changes no telemetry bit, tools that spawn subprocesses (the
-    CI kill-resume drill, benchmark harnesses) use the variable to pick
-    the loop under test without threading a flag through every layer.
-    Invalid values are rejected by ``SimConfig.__post_init__`` exactly
-    like an invalid explicit argument.
-    """
-    return os.environ.get("REPRO_ENGINE", "columnar")
-
-
-def default_sync_mode() -> str:
-    """The columnar engine's write-through policy (``REPRO_COLUMNAR_SYNC``).
-
-    ``"lazy"`` (default) keeps the NumPy columns authoritative on the
-    steady-state hot path and materialises the ``Task`` object view only
-    at observation boundaries (:meth:`Simulation.sync` barriers);
-    ``"eager"`` restores per-tick write-through; ``"poison"`` is lazy
-    plus a debug sentinel written to object attributes between barriers
-    so unsynchronised reads raise instead of returning stale floats.
-    The mode changes no observable value -- every barrier materialises
-    the same floats eager write-through would have produced -- so it is
-    not part of the checkpoint fingerprint.
-    """
-    mode = os.environ.get("REPRO_COLUMNAR_SYNC", "lazy")
-    if mode not in ("lazy", "eager", "poison"):
-        raise ValueError(
-            'REPRO_COLUMNAR_SYNC must be "lazy", "eager" or "poison", '
-            f"got {mode!r}"
-        )
-    return mode
+#: Task count from which the vectorised paths take over.  Below it the
+#: per-object loops beat the gather/scatter cost of the NumPy kernels, so
+#: ``Simulation(...)`` builds the object tick loop for fewer initial tasks,
+#: and the market, the PPM demand gather and the LBT search stay scalar
+#: for fewer market tasks.  Those three gates count market tasks, never
+#: ask which tick loop runs, so both loops take the same path in a run.
+VEC_MIN_TASKS = 32
 
 
 @dataclass
@@ -124,13 +97,10 @@ class SimConfig:
             performance counters feed an online power model whose output
             the governors consume instead of the metered reading.
             ``None`` (default) keeps runs byte-identical to older ones.
-        engine: Tick-loop implementation.  ``"columnar"`` (default) runs
-            the struct-of-arrays hot loop (:mod:`repro.sim.columnar`) --
-            bit-identical telemetry, much faster at large task counts;
-            ``"object"`` forces the reference per-object loop.  The
-            columnar engine silently falls back to the object loop when
-            numpy is unavailable.  Not part of the checkpoint
-            fingerprint: snapshots restore into either engine.
+
+    The tick loop is not configured here: ``Simulation(...)`` picks it
+    from the task count (:data:`VEC_MIN_TASKS`), and snapshots restore
+    into either loop.
     """
 
     dt: float = 0.01
@@ -141,13 +111,10 @@ class SimConfig:
     audit: bool = False
     thermal: Optional[ThermalConfig] = None
     estimation: Optional[object] = None
-    engine: str = field(default_factory=lambda: default_engine())
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.engine not in ("columnar", "object"):
-            raise ValueError('engine must be "columnar" or "object"')
         if self.metrics_warmup_s < 0:
             raise ValueError("metrics_warmup_s must be non-negative")
         if self.sensor_noise_std_w < 0:
@@ -174,18 +141,14 @@ class Simulation:
         config: Optional[SimConfig] = None,
         migration_cost_model: Optional[MigrationCostModel] = None,
     ) -> "Simulation":
-        # Engine dispatch: Simulation(...) with engine="columnar" (the
-        # default) transparently constructs the columnar subclass, so
-        # every existing call site gets the fast loop without changes.
-        # ``chip is not None`` keeps no-arg construction (deepcopy,
-        # pickling) on the class that was asked for.
-        if cls is Simulation and chip is not None:
-            if config is None or config.engine == "columnar":
-                from .columnar import AVAILABLE as _columnar_available
-                from .columnar import ColumnarSimulation
+        # One engine per regime: Simulation(...) builds the columnar
+        # subclass from VEC_MIN_TASKS initial tasks up and the object loop
+        # below, where it is the faster of the two.  Subclasses and no-arg
+        # construction (deepcopy, pickling) keep the class asked for.
+        if cls is Simulation and tasks is not None and len(tasks) >= VEC_MIN_TASKS:
+            from .columnar import ColumnarSimulation
 
-                if _columnar_available:
-                    return super().__new__(ColumnarSimulation)
+            return super().__new__(ColumnarSimulation)
         return super().__new__(cls)
 
     def __init__(
@@ -775,3 +738,14 @@ class Simulation:
         # current even under lazy columnar synchronisation.
         self.sync()
         return self.metrics
+
+
+class ObjectSimulation(Simulation):
+    """The object tick loop at any population.
+
+    ``Simulation(...)`` never upgrades a subclass, so differential tests
+    and benchmarks use this class to run the reference loop above
+    :data:`VEC_MIN_TASKS`, as they use
+    :class:`~repro.sim.columnar.ColumnarSimulation` to run the columnar
+    loop below it.
+    """

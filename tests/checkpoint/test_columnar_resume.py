@@ -1,12 +1,14 @@
-"""Columnar-engine checkpointing: bit-exact snapshot, resume, and replay.
+"""Tick-loop choice: the regime rule, and bit-exact checkpoints across loops.
 
-The columnar engine keeps the object graph authoritative through
-write-through, so a snapshot taken mid-run under either engine must be
-byte-identical to the other's, and a snapshot taken under one engine
-must restore into the other with telemetry identical to the donor's
-uninterrupted run.  The engine is deliberately not part of the
-checkpoint fingerprint (``SimConfig`` excludes it from the identity
-dict) -- these tests are what make that exclusion safe.
+``Simulation(...)`` picks the tick loop from the initial task count, so a
+checkpoint must not care which loop wrote it.  The columnar engine's
+snapshot barrier materialises exactly the floats the object loop holds,
+so a snapshot taken mid-run under either loop must be byte-identical to
+the other's, and a snapshot taken under one loop must restore into the
+other with telemetry identical to the donor's uninterrupted run.  The
+loop is deliberately not part of the checkpoint fingerprint -- these
+tests are what make that safe.  Each loop is built by class, since the
+six-task ``m1`` set alone would get the object loop.
 """
 
 import os
@@ -22,20 +24,19 @@ from repro.checkpoint import (
 from repro.experiments.harness import make_governor
 from repro.hw import tc2_chip
 from repro.sim import SimConfig, Simulation
-from repro.sim.engine import default_engine
-from repro.tasks import build_workload
+from repro.sim.columnar import ColumnarSimulation
+from repro.sim.engine import ObjectSimulation
+from repro.tasks import build_workload, random_tasks
 
 DURATION_S = 5.0
 
 
 def build_sim(engine, seed=11, governor="PPM"):
-    return Simulation(
+    return engine(
         tc2_chip(),
         build_workload("m1"),
         make_governor(governor, power_cap_w=10.0),
-        config=SimConfig(
-            seed=seed, metrics_warmup_s=1.0, audit=True, engine=engine
-        ),
+        config=SimConfig(seed=seed, metrics_warmup_s=1.0, audit=True),
     )
 
 
@@ -53,9 +54,11 @@ class TestColumnarSnapshotIdentity:
     def test_checkpoint_files_are_byte_identical_across_engines(
         self, tmp_path
     ):
-        """Write-through leaves nothing engine-specific in a snapshot."""
-        _, columnar = run_with_checkpoints(tmp_path, "columnar", "columnar")
-        _, obj = run_with_checkpoints(tmp_path, "object", "object")
+        """The barrier leaves nothing engine-specific in a snapshot."""
+        _, columnar = run_with_checkpoints(
+            tmp_path, ColumnarSimulation, "columnar"
+        )
+        _, obj = run_with_checkpoints(tmp_path, ObjectSimulation, "object")
         col_paths = columnar.checkpoints()
         obj_paths = obj.checkpoints()
         assert len(col_paths) == len(obj_paths) == 5
@@ -67,9 +70,11 @@ class TestColumnarSnapshotIdentity:
             assert col_bytes == obj_bytes, os.path.basename(col_path)
 
     def test_checkpointing_does_not_perturb_columnar_run(self, tmp_path):
-        baseline = build_sim("columnar")
+        baseline = build_sim(ColumnarSimulation)
         baseline.run(DURATION_S)
-        checkpointed, _ = run_with_checkpoints(tmp_path, "columnar", "ckpt")
+        checkpointed, _ = run_with_checkpoints(
+            tmp_path, ColumnarSimulation, "ckpt"
+        )
         assert tick_records(checkpointed.metrics) == tick_records(
             baseline.metrics
         )
@@ -77,18 +82,25 @@ class TestColumnarSnapshotIdentity:
 
 class TestColumnarResume:
     def test_resume_midway_matches_uninterrupted(self, tmp_path):
-        baseline = build_sim("columnar")
+        baseline = build_sim(ColumnarSimulation)
         baseline.run(DURATION_S)
-        _, manager = run_with_checkpoints(tmp_path, "columnar", "ckpt")
+        _, manager = run_with_checkpoints(
+            tmp_path, ColumnarSimulation, "ckpt"
+        )
         midpoint = manager.checkpoints()[2]
-        sim, envelope = resume_from(midpoint, lambda: build_sim("columnar"))
+        sim, envelope = resume_from(
+            midpoint, lambda: build_sim(ColumnarSimulation)
+        )
         assert envelope.tick_index == 300
         sim.run(DURATION_S - sim.now)
         assert tick_records(sim.metrics) == tick_records(baseline.metrics)
 
     @pytest.mark.parametrize(
         "donor,restorer",
-        [("columnar", "object"), ("object", "columnar")],
+        [
+            (ColumnarSimulation, ObjectSimulation),
+            (ObjectSimulation, ColumnarSimulation),
+        ],
         ids=["columnar-to-object", "object-to-columnar"],
     )
     def test_cross_engine_restore_is_exact(self, tmp_path, donor, restorer):
@@ -104,41 +116,47 @@ class TestColumnarResume:
 
 class TestColumnarReplay:
     def test_clean_replay_from_columnar_checkpoint(self, tmp_path):
-        sim, manager = run_with_checkpoints(tmp_path, "columnar", "ckpt")
+        sim, manager = run_with_checkpoints(
+            tmp_path, ColumnarSimulation, "ckpt"
+        )
         records = tick_records(sim.metrics)
         report = replay_from_checkpoint(
-            manager.checkpoints()[1], lambda: build_sim("columnar"), records
+            manager.checkpoints()[1],
+            lambda: build_sim(ColumnarSimulation),
+            records,
         )
         assert report.clean
         assert report.first_divergent_tick is None
 
     def test_cross_engine_replay_verifies_clean(self, tmp_path):
         """Object-engine journal replays divergence-free under columnar."""
-        sim, manager = run_with_checkpoints(tmp_path, "object", "ckpt")
+        sim, manager = run_with_checkpoints(tmp_path, ObjectSimulation, "ckpt")
         records = tick_records(sim.metrics)
         report = replay_from_checkpoint(
-            manager.checkpoints()[1], lambda: build_sim("columnar"), records
+            manager.checkpoints()[1],
+            lambda: build_sim(ColumnarSimulation),
+            records,
         )
         assert report.clean
 
 
-class TestEngineDefault:
-    def test_default_engine_is_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_engine() == "columnar"
-        assert SimConfig().engine == "columnar"
+class TestEngineRegime:
+    """``Simulation(...)`` builds the object loop below 32 initial tasks."""
 
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "object")
-        assert SimConfig().engine == "object"
+    @staticmethod
+    def loop_of(tasks, engine=Simulation):
+        return type(engine(tc2_chip(), tasks, make_governor("PPM")))
 
-    def test_invalid_env_value_is_rejected_like_an_argument(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
-        with pytest.raises(ValueError, match="engine"):
-            SimConfig()
+    def test_paper_sets_run_the_object_loop(self):
+        assert self.loop_of(build_workload("m1")) is Simulation
 
-    def test_explicit_argument_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "object")
-        assert SimConfig(engine="columnar").engine == "columnar"
+    @pytest.mark.parametrize(
+        "n,loop", [(31, Simulation), (32, ColumnarSimulation)]
+    )
+    def test_initial_task_count_picks_the_loop(self, n, loop):
+        assert self.loop_of(random_tasks(n, seed=7)) is loop
+
+    def test_classes_are_never_switched(self):
+        small, large = build_workload("m1"), random_tasks(32, seed=7)
+        assert self.loop_of(small, ColumnarSimulation) is ColumnarSimulation
+        assert self.loop_of(large, ObjectSimulation) is ObjectSimulation

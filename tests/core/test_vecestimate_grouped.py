@@ -55,13 +55,13 @@ def test_grouped_rows_match_dense_oracle(monkeypatch):
         V.BatchMappingEvaluator, "_eval_cluster_rows", differential
     )
 
-    # Enough tasks that the batch evaluator engages (>= _VEC_MIN_TASKS)
+    # Enough tasks that the batch evaluator engages (>= VEC_MIN_TASKS)
     # and the LBT proposes candidate rows on most invocations.
     sim = Simulation(
         tc2_chip(),
         random_tasks(40, seed=23),
         make_governor("PPM", power_cap_w=7.0),
-        config=SimConfig(seed=23, metrics_warmup_s=0.0, engine="columnar"),
+        config=SimConfig(seed=23, metrics_warmup_s=0.0),
     )
     sim.run(1.5)
     assert compared, "batch evaluator never ran; the gate moved?"

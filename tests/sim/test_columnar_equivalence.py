@@ -3,7 +3,8 @@
 The columnar tick engine (:mod:`repro.sim.columnar`) promises *bit-exact*
 telemetry: every per-tick record, every task attribute, every load-tracker
 entry (including dict insertion order) must match the per-object reference
-loop.  These tests hold it to that promise two ways:
+loop.  Both sides are built by class, so every comparison runs both loops
+at any task count.  These tests hold the engine to that promise two ways:
 
 * six pinned golden scenarios -- the same configurations the determinism
   golden digests pin -- run under both engines and compared tick-by-tick,
@@ -27,8 +28,9 @@ from repro.experiments.harness import make_governor
 from repro.faults import FaultInjector
 from repro.hw import tc2_chip
 from repro.hw.thermal import ThermalConfig
-from repro.sim import SimConfig, Simulation
+from repro.sim import SimConfig
 from repro.sim.columnar import ColumnarSimulation
+from repro.sim.engine import ObjectSimulation
 from repro.tasks import build_workload, random_tasks
 
 
@@ -40,7 +42,7 @@ def _build(engine, *, workload, governor, seed, noise_w, fault, duration_s,
         if workload[0] == "random"
         else build_workload(workload[1])
     )
-    sim = Simulation(
+    sim = engine(
         chip,
         tasks,
         make_governor(governor, power_cap_w=power_cap_w),
@@ -51,7 +53,6 @@ def _build(engine, *, workload, governor, seed, noise_w, fault, duration_s,
             sensor_noise_std_w=noise_w,
             thermal=thermal,
             estimation=estimation,
-            engine=engine,
         ),
     )
     if fault is not None:
@@ -76,7 +77,7 @@ def _first_divergence(a, b):
 
 
 def _assert_equivalent(obj, col, label):
-    assert type(obj) is Simulation and type(col) is ColumnarSimulation
+    assert type(obj) is ObjectSimulation and type(col) is ColumnarSimulation
     div = _first_divergence(obj, col)
     if div is not None:
         tick, fields = div
@@ -128,8 +129,8 @@ class TestGoldenScenarioEquivalence:
                            noise_w, fault):
         kw = dict(workload=workload, governor=governor, seed=seed,
                   noise_w=noise_w, fault=fault, duration_s=duration_s)
-        obj = _build("object", **kw)
-        col = _build("columnar", **kw)
+        obj = _build(ObjectSimulation, **kw)
+        col = _build(ColumnarSimulation, **kw)
         label = "%s/%s/seed=%d/fault=%s" % (governor, workload[1], seed, fault)
         _assert_equivalent(obj, col, label)
 
@@ -141,8 +142,8 @@ class TestManyTasksEquivalence:
     def test_random_mix(self, n):
         kw = dict(workload=("random", n, 7), governor="PPM", seed=7,
                   noise_w=0.0, fault=None, duration_s=3.0, power_cap_w=8.0)
-        obj = _build("object", **kw)
-        col = _build("columnar", **kw)
+        obj = _build(ObjectSimulation, **kw)
+        col = _build(ColumnarSimulation, **kw)
         _assert_equivalent(obj, col, "random/n=%d" % n)
 
 
@@ -179,8 +180,8 @@ class TestHypothesisEquivalence:
             thermal=ThermalConfig() if cfg["thermal"] else None,
             estimation=EstimationConfig() if cfg["estimation"] else None,
         )
-        obj = _build("object", **kw)
-        col = _build("columnar", **kw)
+        obj = _build(ObjectSimulation, **kw)
+        col = _build(ColumnarSimulation, **kw)
         _assert_equivalent(obj, col, repr(cfg))
 
 
@@ -190,8 +191,8 @@ class TestMetricsSamplesMatchExactly:
     def test_sample_dataclasses_identical(self):
         kw = dict(workload=("random", 17, 7), governor="PPM", seed=7,
                   noise_w=0.0, fault=None, duration_s=3.0, power_cap_w=8.0)
-        obj = _build("object", **kw)
-        col = _build("columnar", **kw)
+        obj = _build(ObjectSimulation, **kw)
+        col = _build(ColumnarSimulation, **kw)
         sa, sb = obj.metrics.samples, col.metrics.samples
         assert len(sa) == len(sb)
         for k, (x, y) in enumerate(zip(sa, sb)):

@@ -6,15 +6,15 @@ materialises the ``Task`` object view at observation boundaries
 
 * **interleaving property** -- any interleaving of governor-, fault-,
   telemetry- and checkpoint-style observations, at any ticks, sees
-  *identical* values whether the engine writes through eagerly on every
-  tick or materialises lazily at the barrier (hypothesis-generated
-  observation plans, exact equality);
-* **poison mode** -- with ``REPRO_COLUMNAR_SYNC=poison`` a deliberately
-  unsynchronised read of a hot ``Task`` attribute raises
+  *identical* values from the columnar engine, which materialises lazily
+  at the barrier, and from the object loop, which writes every attribute
+  on every tick (hypothesis-generated observation plans, exact equality);
+* **poison** -- with :attr:`ColumnarSimulation.poison` set, a
+  deliberately unsynchronised read of a hot ``Task`` attribute raises
   :class:`PoisonedStateError`, and the same read succeeds (with the
-  eager-mode value) after a barrier;
-* **barrier laziness** -- lazy mode actually skips flushes: a run with
-  no extra observations performs fewer barrier flushes than one
+  object loop's value) after a barrier;
+* **barrier laziness** -- the columnar engine actually skips flushes: a
+  run with no extra observations performs fewer barrier flushes than one
   observed every tick.
 """
 
@@ -28,8 +28,9 @@ from repro.checkpoint import tick_records
 from repro.checkpoint.snapshot import snapshot_simulation
 from repro.experiments.harness import make_governor
 from repro.hw import tc2_chip
-from repro.sim import SimConfig, Simulation
+from repro.sim import SimConfig
 from repro.sim.columnar import ColumnarSimulation, PoisonedStateError
+from repro.sim.engine import ObjectSimulation
 from repro.tasks import random_tasks
 
 _HOT_ATTRS = (
@@ -41,16 +42,13 @@ _HOT_ATTRS = (
 )
 
 
-def _make(sync_mode, *, n_tasks=6, seed=11):
-    sim = Simulation(
+def _make(engine, *, n_tasks=6, seed=11):
+    return engine(
         tc2_chip(),
         random_tasks(n_tasks, seed=seed),
         make_governor("PPM", power_cap_w=8.0),
-        config=SimConfig(seed=seed, metrics_warmup_s=0.0, engine="columnar"),
+        config=SimConfig(seed=seed, metrics_warmup_s=0.0),
     )
-    assert type(sim) is ColumnarSimulation
-    sim.sync_mode = sync_mode
-    return sim
 
 
 # -- observation actions: each uses a real observation API ------------------
@@ -94,12 +92,12 @@ _ACTIONS = {
 _N_TICKS = 24
 
 
-def _run_plan(sync_mode, plan):
+def _run_plan(engine, plan):
     """Step a sim tick-by-tick, observing per the plan; returns evidence."""
     by_tick = defaultdict(list)
     for tick, action in plan:
         by_tick[tick].append(action)
-    sim = _make(sync_mode)
+    sim = _make(engine)
     observed = []
     for tick in range(_N_TICKS):
         sim.step()
@@ -123,8 +121,9 @@ def _run_plan(sync_mode, plan):
 )
 def test_interleaved_observations_eager_vs_lazy(plan):
     plan = sorted(plan)
-    sim_eager, seen_eager = _run_plan("eager", plan)
-    sim_lazy, seen_lazy = _run_plan("lazy", plan)
+    # The object loop writes every attribute every tick: the eager side.
+    sim_eager, seen_eager = _run_plan(ObjectSimulation, plan)
+    sim_lazy, seen_lazy = _run_plan(ColumnarSimulation, plan)
     # Every observation -- wherever the plan put it -- is bit-identical.
     assert seen_eager == seen_lazy
     # And the runs themselves did not diverge: full telemetry matches.
@@ -132,16 +131,17 @@ def test_interleaved_observations_eager_vs_lazy(plan):
 
 
 def test_lazy_mode_defers_flushes():
-    """Lazy mode must actually skip work, not just match eager output."""
+    """The barrier must actually skip work, not just match the object loop."""
     plan_quiet = []
     plan_noisy = [(t, "governor") for t in range(_N_TICKS)]
-    sim_quiet, _ = _run_plan("lazy", plan_quiet)
-    sim_noisy, _ = _run_plan("lazy", plan_noisy)
+    sim_quiet, _ = _run_plan(ColumnarSimulation, plan_quiet)
+    sim_noisy, _ = _run_plan(ColumnarSimulation, plan_noisy)
     assert sim_quiet.sync_count < sim_noisy.sync_count
 
 
 def test_poison_mode_catches_unsynchronised_read():
-    sim = _make("poison")
+    sim = _make(ColumnarSimulation)
+    sim.poison = True
     sim.step()
     sim.step()
     task = sim.tasks[0]
@@ -150,12 +150,11 @@ def test_poison_mode_catches_unsynchronised_read():
     with pytest.raises(PoisonedStateError):
         float(task.last_supply_pus)
     # The barrier clears the poison and lands the true values: the same
-    # reads now succeed and match an eager twin of the run.
+    # reads now succeed and match an object-loop twin of the run.
     sim.sync()
-    twin = _make("eager")
+    twin = _make(ObjectSimulation)
     twin.step()
     twin.step()
-    twin.sync()
     for mine, theirs in zip(sim.tasks, twin.tasks):
         for attr in _HOT_ATTRS:
             assert getattr(mine, attr) == getattr(theirs, attr)
