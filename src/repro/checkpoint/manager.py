@@ -7,6 +7,11 @@ every tick and the manager writes a crash-consistent checkpoint every
 Several managers can share one directory by using distinct ``stream``
 labels (the fault campaign gives each governor its own).
 
+A save encodes only the telemetry recorded since the previous one: the
+manager keeps the canonical JSON of every tick record it has written,
+relying on recorded telemetry being append-only (see
+:class:`~repro.sim.metrics.MetricsCollector`).
+
 ``resume_from`` is the inverse: given a checkpoint file and a *factory*
 that rebuilds the identical simulation (same config, seed, workload,
 governor and -- when applicable -- fault schedule), it verifies the
@@ -16,13 +21,20 @@ run is bit-identical to never having stopped.
 
 from __future__ import annotations
 
+import operator
 import os
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .snapshot import restore_simulation, simulation_fingerprint, snapshot_simulation
+from .snapshot import (
+    restore_simulation,
+    simulation_fingerprint,
+    snapshot_simulation,
+    tick_record,
+)
 from .store import (
     CHECKPOINT_GLOB_RE,
     CheckpointEnvelope,
+    canonical_json,
     checkpoint_filename,
     read_checkpoint,
     write_checkpoint,
@@ -70,6 +82,11 @@ class CheckpointManager:
         self.fingerprint: Optional[str] = None
         self.saves = 0
         self._interval_ticks: Optional[int] = None
+        #: The tick samples already encoded, and their canonical JSON, one
+        #: string per tick.  Holding the samples keeps their identities
+        #: from being reused by new objects.
+        self._encoded_samples: List[Any] = []
+        self._encoded: List[str] = []
 
     def attach(self, sim) -> "CheckpointManager":
         """Install this manager as ``sim.checkpointer``; returns self."""
@@ -89,7 +106,7 @@ class CheckpointManager:
         """Write one checkpoint now; returns its path."""
         if self.fingerprint is None:
             self.attach(sim)
-        payload = snapshot_simulation(sim)
+        payload = snapshot_simulation(sim, tick_history=False)
         if self.extra_payload is not None:
             payload["extra"] = self.extra_payload
         path = os.path.join(
@@ -101,10 +118,29 @@ class CheckpointManager:
             fingerprint=self.fingerprint,
             tick_index=sim.tick_index,
             sim_time_s=sim.now,
+            samples_json=self._history_json(sim.metrics.samples),
         )
         self.saves += 1
         self._prune()
         return path
+
+    def _history_json(self, samples: List[Any]) -> str:
+        """Canonical JSON of the tick records of ``samples``.
+
+        Encodes only the ticks recorded since the previous save.  Starts
+        over when ``samples`` no longer begins with the very sample
+        objects already encoded, as after a restore, which replaces them.
+        """
+        done = len(self._encoded)
+        if len(samples) < done or not all(
+            map(operator.is_, self._encoded_samples, samples)
+        ):
+            self._encoded_samples, self._encoded = [], []
+            done = 0
+        for sample in samples[done:]:
+            self._encoded_samples.append(sample)
+            self._encoded.append(canonical_json(tick_record(sample)))
+        return "[" + ",".join(self._encoded) + "]"
 
     def checkpoints(self) -> list:
         """This manager's checkpoint paths (its stream only), oldest first."""

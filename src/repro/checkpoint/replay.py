@@ -12,11 +12,12 @@ first differing tick and the exact fields that differ.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from .atomicio import atomic_write_text
 from .manager import resume_from
+from .snapshot import tick_record
 from .store import CheckpointCorruptError, canonical_json
 
 JOURNAL_MAGIC = "repro-journal"
@@ -25,23 +26,11 @@ JOURNAL_MAGIC = "repro-journal"
 def tick_records(metrics) -> List[Dict[str, Any]]:
     """One JSON-safe record per simulated tick, in order.
 
-    ``cluster_temperature_c`` is omitted from records where it is ``None``
-    (thermal tracking off), so journals and the pinned telemetry digests
-    of thermal-free runs are byte-identical to those recorded before the
-    field existed.  Thermal-enabled runs carry the temperatures, making
+    Each is the :func:`~repro.checkpoint.snapshot.tick_record` a
+    checkpoint stores.  Thermal-enabled runs carry the temperatures, making
     replay divergence detection cover the thermal state too.
-    ``estimated_chip_power_w`` gets the same treatment for runs without
-    estimated-power operation.
     """
-    records = []
-    for sample in metrics.samples:
-        record = asdict(sample)
-        if record.get("cluster_temperature_c") is None:
-            record.pop("cluster_temperature_c", None)
-        if record.get("estimated_chip_power_w") is None:
-            record.pop("estimated_chip_power_w", None)
-        records.append(record)
-    return records
+    return [tick_record(sample) for sample in metrics.samples]
 
 
 def write_journal(path: str, records: List[Dict[str, Any]], fingerprint: str, dt: float) -> str:

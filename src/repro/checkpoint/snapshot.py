@@ -102,6 +102,42 @@ def thermal_sample_from_json(data: Optional[dict]) -> Optional[ThermalSample]:
     return ThermalSample(cluster_temperature_c=dict(data["cluster_temperature_c"]))
 
 
+def tick_record(sample: TickSample) -> Dict[str, Any]:
+    """One tick's telemetry as a JSON-safe dict: ``asdict(sample)``, by hand.
+
+    Built field by field because ``asdict``'s recursive deep copy was most
+    of a checkpoint's snapshot time.
+
+    ``cluster_temperature_c`` is omitted when it is ``None`` (thermal
+    tracking off), so journals, snapshots and the pinned telemetry digests
+    of thermal-free runs are byte-identical to those recorded before the
+    field existed; ``estimated_chip_power_w`` gets the same treatment for
+    runs without estimated-power operation.  Restore accepts records with
+    or without the two fields.
+    """
+    record: Dict[str, Any] = {
+        "time_s": sample.time_s,
+        "chip_power_w": sample.chip_power_w,
+        "cluster_power_w": dict(sample.cluster_power_w),
+        "cluster_frequency_mhz": dict(sample.cluster_frequency_mhz),
+        "tasks": {
+            name: {
+                "heart_rate": task.heart_rate,
+                "below_min": task.below_min,
+                "outside_range": task.outside_range,
+                "granted_pus": task.granted_pus,
+                "demand_pus": task.demand_pus,
+            }
+            for name, task in sample.tasks.items()
+        },
+    }
+    if sample.cluster_temperature_c is not None:
+        record["cluster_temperature_c"] = dict(sample.cluster_temperature_c)
+    if sample.estimated_chip_power_w is not None:
+        record["estimated_chip_power_w"] = sample.estimated_chip_power_w
+    return record
+
+
 # ---------------------------------------------------------------------------
 # Fingerprint
 # ---------------------------------------------------------------------------
@@ -310,8 +346,14 @@ def generic_restore(obj: Any, state: Dict[str, Any], task_by_name: Dict[str, Any
 # ---------------------------------------------------------------------------
 # Snapshot
 # ---------------------------------------------------------------------------
-def snapshot_simulation(sim) -> Dict[str, Any]:
-    """Capture every mutable bit of ``sim`` into a JSON-serialisable dict."""
+def snapshot_simulation(sim, tick_history: bool = True) -> Dict[str, Any]:
+    """Capture every mutable bit of ``sim`` into a JSON-serialisable dict.
+
+    ``tick_history=False`` leaves out ``payload["metrics"]["samples"]``,
+    the one part that grows with the run, for a caller that encodes the
+    tick records itself (:class:`~repro.checkpoint.manager.CheckpointManager`
+    encodes each tick once and splices the history in when it writes).
+    """
     # Checkpoint barrier: materialise the object view (task attributes,
     # load dict) before reading it; no-op on the reference engine.
     sim.sync()
@@ -328,10 +370,7 @@ def snapshot_simulation(sim) -> Dict[str, Any]:
             "elapsed_s": sim.energy.elapsed_s,
         },
         "migrations": [asdict(r) for r in sim.migrations.history],
-        "metrics": {
-            "samples": [asdict(s) for s in sim.metrics.samples],
-            "audit_violations": list(sim.metrics.audit_violations),
-        },
+        "metrics": {"audit_violations": list(sim.metrics.audit_violations)},
         "sensor": _snapshot_sensor(sim),
         "governor": _snapshot_governor(sim),
     }
@@ -344,6 +383,10 @@ def snapshot_simulation(sim) -> Dict[str, Any]:
         payload["estimation"] = _snapshot_estimation(sim)
     if sim.arrivals is not None:
         payload["arrivals"] = sim.arrivals.snapshot_state()
+    if tick_history:
+        payload["metrics"]["samples"] = [
+            tick_record(s) for s in sim.metrics.samples
+        ]
     return payload
 
 

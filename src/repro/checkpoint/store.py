@@ -15,6 +15,15 @@ snapshot *payload* produced by :mod:`repro.checkpoint.snapshot`:
       "payload": { ... }
     }
 
+The payload is stored in canonical form (:func:`canonical_json`: sorted
+keys, compact separators) and serialised once per save: the same text is
+hashed for ``payload_sha256`` and written into the file.  The tick
+history in ``payload["metrics"]["samples"]`` may arrive already encoded
+(the checkpoint manager encodes each tick once per run) and is spliced
+into that text.  Readers parse the whole document and re-canonicalise
+the payload to verify it, so files whose payload is laid out any other
+way -- as earlier versions wrote them -- still load.
+
 Restore refuses to proceed -- with a descriptive, actionable error --
 when the schema version is unknown, the payload checksum does not match
 (torn or bit-rotted file), or the fingerprint differs from the run being
@@ -30,7 +39,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .atomicio import atomic_write_text
 
@@ -87,24 +96,54 @@ class CheckpointEnvelope:
     payload: Dict[str, Any]
 
 
+def _canonical_around(obj: Dict[str, Any], key: str) -> Tuple[str, str]:
+    """The canonical JSON of ``obj`` before and after the value at ``key``.
+
+    ``before + canonical_json(value) + after`` equals
+    ``canonical_json(dict(obj, **{key: value}))``.
+    """
+    members = sorted(
+        (k, json.dumps(k) + ":" + canonical_json(v)) for k, v in obj.items() if k != key
+    )
+    before = "".join(m + "," for k, m in members if k < key)
+    after = "".join("," + m for k, m in members if k > key)
+    return "{" + before + json.dumps(key) + ":", after + "}"
+
+
 def write_checkpoint(
     path: str,
     payload: Dict[str, Any],
     fingerprint: str,
     tick_index: int,
     sim_time_s: float,
+    samples_json: Optional[str] = None,
 ) -> str:
-    """Atomically write one checkpoint file; returns ``path``."""
-    envelope = {
-        "magic": _MAGIC,
-        "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "fingerprint": fingerprint,
-        "tick_index": tick_index,
-        "sim_time_s": sim_time_s,
-        "payload_sha256": payload_checksum(payload),
-        "payload": payload,
-    }
-    return atomic_write_text(path, json.dumps(envelope))
+    """Atomically write one checkpoint file; returns ``path``.
+
+    ``samples_json``, when given, is the canonical JSON of the tick
+    history and stands in for ``payload["metrics"]["samples"]``; the file
+    is byte-identical to writing the payload with the history in place.
+    """
+    if samples_json is None:
+        parts = [canonical_json(payload)]
+    else:
+        outer = _canonical_around(payload, "metrics")
+        inner = _canonical_around(payload["metrics"], "samples")
+        parts = [outer[0] + inner[0], samples_json, inner[1] + outer[1]]
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part.encode("utf-8"))
+    head = json.dumps(
+        {
+            "magic": _MAGIC,
+            "schema_version": CHECKPOINT_SCHEMA_VERSION,
+            "fingerprint": fingerprint,
+            "tick_index": tick_index,
+            "sim_time_s": sim_time_s,
+            "payload_sha256": digest.hexdigest(),
+        }
+    )
+    return atomic_write_text(path, "".join([head[:-1], ', "payload": ', *parts, "}"]))
 
 
 def read_checkpoint(

@@ -152,7 +152,14 @@ class TickColumnBuffer:
 
 @dataclass
 class MetricsCollector:
-    """Accumulates tick samples and derives the paper's summary metrics."""
+    """Accumulates tick samples and derives the paper's summary metrics.
+
+    Recorded tick samples are append-only: ``record`` adds one per tick,
+    and nothing modifies a :class:`TickSample` (or the dicts it holds)
+    once it is in ``samples``.  Restoring a checkpoint replaces the list
+    as a whole.  The checkpoint manager relies on this to encode each
+    tick once per run.
+    """
 
     warmup_s: float = 2.0
     samples: List[TickSample] = field(default_factory=list)

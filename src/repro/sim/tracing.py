@@ -11,8 +11,9 @@ and it hooks the relevant notification points.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -39,14 +40,12 @@ class Tracer:
     def __init__(self, capacity: int = 100_000):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self._capacity = capacity
-        self._events: List[TraceEvent] = []
+        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
 
     # -- recording ------------------------------------------------------------
     def emit(self, event: TraceEvent) -> None:
-        if len(self._events) >= self._capacity:
-            self._events.pop(0)
+        if len(self._events) == self._events.maxlen:
             self.dropped += 1
         self._events.append(event)
 

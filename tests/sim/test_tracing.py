@@ -29,6 +29,16 @@ class TestTracer:
         assert tracer.dropped == 3
         assert tracer.events()[0].time_s == 3.0
 
+    def test_full_tracer_keeps_newest_capacity_events(self):
+        capacity, extra = 50, 7
+        tracer = Tracer(capacity=capacity)
+        for i in range(capacity + extra):
+            tracer.record(float(i), "k", "s")
+        assert tracer.dropped == extra
+        assert [e.time_s for e in tracer.events()] == [
+            float(i) for i in range(extra, capacity + extra)
+        ]
+
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             Tracer(capacity=0)
