@@ -1,1 +1,1 @@
-"""Benchmark harness: paper-figure regenerators plus the perf suite."""
+"""Benchmark harness: paper-figure regenerators."""

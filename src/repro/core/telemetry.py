@@ -8,8 +8,9 @@ PPMGovernor` and snapshots the market after every bid round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .agents import ChipPowerState
 from .framework import PPMGovernor
@@ -46,8 +47,7 @@ class MarketRecorder:
     def __init__(self, governor: PPMGovernor, capacity: int = 200_000):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self._capacity = capacity
-        self.snapshots: List[MarketSnapshot] = []
+        self.snapshots: Deque[MarketSnapshot] = deque(maxlen=capacity)
         self.dropped = 0
         self._governor = governor
         self._original_on_tick = governor.on_tick
@@ -75,8 +75,7 @@ class MarketRecorder:
             allowances={tid: a.wallet.allowance for tid, a in market.tasks.items()},
             prices=dict(result.prices) if result else {},
         )
-        if len(self.snapshots) >= self._capacity:
-            self.snapshots.pop(0)
+        if len(self.snapshots) == self.snapshots.maxlen:
             self.dropped += 1
         self.snapshots.append(snapshot)
 

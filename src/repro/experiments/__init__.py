@@ -64,12 +64,9 @@ from .validation import ClaimResult, ValidationReport, validate_reproduction
 from .scalability import (
     TABLE7_CONFIGS,
     ConstrainedCoreEmulator,
-    FullSimPoint,
     ScalabilityPoint,
-    full_sim_points,
     measure_overhead,
     table7,
-    table7_extended,
 )
 
 __all__ = [
@@ -138,8 +135,5 @@ __all__ = [
     "table3",
     "table4",
     "table7",
-    "table7_extended",
-    "full_sim_points",
-    "FullSimPoint",
     "validate_reproduction",
 ]

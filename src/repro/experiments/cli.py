@@ -6,7 +6,6 @@ Examples::
     repro-experiments fig4 --duration 120
     repro-experiments fig7
     repro-experiments table7
-    repro-experiments table7x   # + full-engine rows at 1k/10k tasks
     repro-experiments all --duration 60
     repro-experiments campaign --fault sensor-dropout
     repro-experiments campaign --fault thermal-runaway
@@ -20,7 +19,6 @@ Examples::
     repro-experiments fleet --fleet-chips 8 --fleet-epochs 6
     repro-experiments fleet --fleet-fault worker-kill@2:chip03
     repro-experiments fleet --resume-fleet --fleet-dir results/fleet
-    repro-experiments profile --scenario many_tasks_1k
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ from .comparative import figure4, figure5, figure6, run_comparative
 from .priorities import figure7
 from .running_examples import table1, table2, table3, table4
 from .savings import figure8
-from .scalability import table7, table7_extended
+from .scalability import table7
 from .validation import validate_reproduction
 
 
@@ -141,65 +139,12 @@ def _run_table7(args) -> str:
     return table7(invocations=args.invocations, jobs=args.jobs)[1]
 
 
-def _run_table7x(args) -> str:
-    return table7_extended(invocations=args.invocations, jobs=args.jobs)[2]
-
-
-def _run_profile(args) -> str:
-    """cProfile one perf scenario; report written to results/."""
-    import cProfile
-    import io
-    import pstats
-
-    # The perf scenarios live in the repo-root ``benchmarks`` package
-    # (they are a development tool, not part of the installed library).
-    repo_root = os.path.abspath(
-        os.path.join(os.path.dirname(__file__), "..", "..", "..")
-    )
-    if repo_root not in sys.path:
-        sys.path.insert(0, repo_root)
-    try:
-        from benchmarks.perf import SCENARIO_ORDER, run_scenario
-    except ImportError as exc:
-        raise SystemExit(
-            "profile: the benchmarks package is not importable "
-            f"(looked under {repo_root}); run from a source checkout"
-        ) from exc
-    scenario = args.scenario
-    if scenario not in SCENARIO_ORDER:
-        raise SystemExit(
-            f"profile: unknown scenario {scenario!r}; "
-            f"choose from {', '.join(SCENARIO_ORDER)}"
-        )
-    profiler = cProfile.Profile()
-    profiler.enable()
-    metrics = run_scenario(scenario, quick=True)
-    profiler.disable()
-
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats("cumulative").print_stats(args.profile_lines)
-    summary = ", ".join(
-        f"{key}={value:.3f}" if isinstance(value, float) else f"{key}={value}"
-        for key, value in sorted(metrics.items())
-    )
-    report = (
-        f"cProfile of perf scenario {scenario!r} (quick variant)\n"
-        f"scenario metrics: {summary}\n\n"
-        f"{stream.getvalue()}"
-    )
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"profile_{scenario}.txt")
-    with open(path, "w") as handle:
-        handle.write(report)
-    head = "\n".join(report.splitlines()[:20])
-    return head + f"\n...\nprofile written to {path}"
-
-
 def _run_validate(args) -> str:
     report = validate_reproduction(quick=not args.full)
-    status = "ALL CLAIMS PASS" if report.passed else "SOME CLAIMS FAILED"
-    return report.as_table() + "\n" + status
+    text = report.as_table()
+    if not report.passed:
+        raise SystemExit(text + "\nSOME CLAIMS FAILED")
+    return text + "\nALL CLAIMS PASS"
 
 
 def _parse_governors(spec: str) -> List[str]:
@@ -433,7 +378,6 @@ _COMMANDS = {
 
 #: Commands excluded from ``all`` (campaigns are a study, not a figure).
 _EXTRA_COMMANDS = {
-    "table7x": _run_table7x,
     "campaign": _run_campaign,
     "soak": _run_soak,
     "checkpoint": _run_checkpoint,
@@ -443,7 +387,6 @@ _EXTRA_COMMANDS = {
     "overload-soak": _run_overload_soak,
     "model-error": _run_model_error,
     "fleet": _run_fleet,
-    "profile": _run_profile,
 }
 
 
@@ -561,21 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default="results",
         help="directory for campaign reports (default: results/)",
-    )
-    profile = parser.add_argument_group("profile")
-    profile.add_argument(
-        "--scenario",
-        default="many_tasks_1k",
-        help=(
-            "perf scenario to profile (profile command; "
-            "default: many_tasks_1k)"
-        ),
-    )
-    profile.add_argument(
-        "--profile-lines",
-        type=int,
-        default=40,
-        help="rows in the cumulative-time report (default: 40)",
     )
     modelerror = parser.add_argument_group("model-error / estimated power")
     modelerror.add_argument(

@@ -227,142 +227,6 @@ def measure_overhead(
     )
 
 
-#: Task populations for the full-engine extension rows (and the sim
-#: seconds each is run for -- a 10,000-task tick costs hundreds of
-#: milliseconds, so the largest point keeps the run short).
-FULL_SIM_SIZES: Tuple[Tuple[int, float], ...] = (
-    (50, 2.0),
-    (1000, 1.0),
-    (10000, 0.2),
-)
-
-
-@dataclass
-class FullSimPoint:
-    """One full-engine row of the extended Table 7."""
-
-    tasks: int
-    sim_s: float
-    ticks: int
-    columnar_ticks_per_s: float
-    object_ticks_per_s: float
-
-    @property
-    def speedup(self) -> float:
-        if self.object_ticks_per_s <= 0.0:
-            return float("inf")
-        return self.columnar_ticks_per_s / self.object_ticks_per_s
-
-    @property
-    def ms_per_tick(self) -> float:
-        if self.columnar_ticks_per_s <= 0.0:
-            return float("inf")
-        return 1000.0 / self.columnar_ticks_per_s
-
-    @property
-    def overhead_per_interval_ms(self) -> float:
-        """Wall ms spent per 190 ms of simulated time (19 ticks)."""
-        return self.ms_per_tick * (MIGRATION_INTERVAL_MS / 10.0)
-
-
-def _time_full_sim(n_tasks: int, sim_s: float, engine: type) -> float:
-    """Ticks/s of one full run of the ``engine`` class at ``n_tasks`` tasks."""
-    from ..hw import tc2_chip
-    from ..sim import SimConfig
-    from ..tasks import random_tasks
-    from .harness import make_governor
-
-    sim = engine(
-        tc2_chip(),
-        random_tasks(n_tasks, seed=7),
-        make_governor("PPM", power_cap_w=8.0),
-        config=SimConfig(seed=7, metrics_warmup_s=sim_s / 4.0),
-    )
-    start = time.perf_counter()
-    sim.run(sim_s)
-    elapsed = time.perf_counter() - start
-    return round(sim_s / 0.01) / elapsed
-
-
-def full_sim_points(
-    sizes: Sequence[Tuple[int, float]] = FULL_SIM_SIZES,
-    repeats: int = 2,
-) -> List[FullSimPoint]:
-    """Time the *actual* engine (both loops) at Table 7 populations.
-
-    The paper's Table 7 emulates the constrained core's work; these rows
-    run the complete simulator -- market, LBT, dispatch, telemetry -- at
-    1,000 and 10,000 tasks, which the columnar tick engine makes
-    tractable end to end.  Both engines produce bit-identical telemetry
-    (``tests/sim/test_columnar_equivalence.py``), so the speedup column
-    is a pure implementation comparison.
-    """
-    from ..sim.columnar import ColumnarSimulation
-    from ..sim.engine import ObjectSimulation
-
-    # Warm-up run: the first simulation in a process pays allocator and
-    # CPU-frequency ramp costs that would bias whichever column runs first.
-    _time_full_sim(50, 0.3, ColumnarSimulation)
-
-    def _best(*args) -> float:
-        return max(_time_full_sim(*args) for _ in range(max(1, repeats)))
-
-    points = []
-    for n_tasks, sim_s in sizes:
-        columnar = _best(n_tasks, sim_s, ColumnarSimulation)
-        obj = _best(n_tasks, sim_s, ObjectSimulation)
-        points.append(
-            FullSimPoint(
-                tasks=n_tasks,
-                sim_s=sim_s,
-                ticks=round(sim_s / 0.01),
-                columnar_ticks_per_s=columnar,
-                object_ticks_per_s=obj,
-            )
-        )
-    return points
-
-
-def table7_extended(
-    configs: Sequence[Tuple[int, int, int]] = TABLE7_CONFIGS,
-    invocations: int = 5,
-    jobs: Optional[int] = None,
-    sizes: Sequence[Tuple[int, float]] = FULL_SIM_SIZES,
-) -> Tuple[List[ScalabilityPoint], List[FullSimPoint], str]:
-    """Table 7 plus full-engine rows at 50 / 1,000 / 10,000 tasks."""
-    points, text = table7(configs=configs, invocations=invocations, jobs=jobs)
-    sim_points = full_sim_points(sizes=sizes)
-    rows = [
-        [
-            p.tasks,
-            p.ticks,
-            f"{p.columnar_ticks_per_s:.1f}",
-            f"{p.object_ticks_per_s:.1f}",
-            f"{p.speedup:.2f}",
-            f"{p.ms_per_tick:.2f}",
-            f"{p.overhead_per_interval_ms:.1f}",
-        ]
-        for p in sim_points
-    ]
-    extra = format_table(
-        [
-            "tasks",
-            "ticks",
-            "columnar t/s",
-            "object t/s",
-            "speedup",
-            "ms/tick",
-            "wall ms / 190 ms interval",
-        ],
-        rows,
-        title=(
-            "Table 7 (extended): full-engine wall cost at scale "
-            "(columnar vs object tick loop)"
-        ),
-    )
-    return points, sim_points, text + "\n\n" + extra
-
-
 def table7(
     configs: Sequence[Tuple[int, int, int]] = TABLE7_CONFIGS,
     invocations: int = 5,

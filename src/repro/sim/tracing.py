@@ -90,24 +90,29 @@ def attach_tracer(sim, tracer: Optional[Tracer] = None) -> Tracer:
     """Instrument a :class:`~repro.sim.engine.Simulation` with a tracer.
 
     Wraps the simulation's mutation points (migration, DVFS requests,
-    power gating) so every call emits an event.  Returns the tracer.
-    Idempotent-ish: attaching twice double-reports; attach once.
+    power gating) so every state change emits an event; a migration that
+    failed (``record.failed``) moved nothing and emits none.  Returns the
+    tracer.  A simulation takes one tracer: attaching again raises
+    ``RuntimeError``.
     """
+    if getattr(sim, "tracer", None) is not None:
+        raise RuntimeError("a tracer is already attached to this simulation")
     tracer = tracer or Tracer()
 
     original_migrate = sim.migrate
 
     def traced_migrate(task, destination):
         record = original_migrate(task, destination)
-        tracer.record(
-            sim.now,
-            "migration",
-            task.name,
-            source=record.source_core,
-            destination=record.destination_core,
-            inter_cluster=record.inter_cluster,
-            cost_s=record.cost_s,
-        )
+        if not record.failed:
+            tracer.record(
+                sim.now,
+                "migration",
+                task.name,
+                source=record.source_core,
+                destination=record.destination_core,
+                inter_cluster=record.inter_cluster,
+                cost_s=record.cost_s,
+            )
         return record
 
     original_request = sim.request_level

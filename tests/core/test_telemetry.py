@@ -8,10 +8,10 @@ from repro.sim import SimConfig, Simulation
 from repro.tasks import make_task
 
 
-def run_recorded(duration=1.0):
+def run_recorded(duration=1.0, **recorder_kwargs):
     task = make_task("swaptions", "l", task_name="sw")
     governor = PPMGovernor()
-    recorder = MarketRecorder(governor)
+    recorder = MarketRecorder(governor, **recorder_kwargs)
     sim = Simulation(tc2_chip(), [task], governor, config=SimConfig())
     sim.run(duration)
     return governor, recorder
@@ -58,13 +58,11 @@ class TestRecorder:
         assert recorder.time_in_state(ChipPowerState.EMERGENCY) == 0.0
 
     def test_capacity_bound(self):
-        task = make_task("swaptions", "l")
-        governor = PPMGovernor()
-        recorder = MarketRecorder(governor, capacity=5)
-        sim = Simulation(tc2_chip(), [task], governor, config=SimConfig())
-        sim.run(1.0)
+        governor, recorder = run_recorded(1.0, capacity=5)
+        _, unbounded = run_recorded(1.0)
         assert len(recorder) == 5
-        assert recorder.dropped > 0
+        assert recorder.dropped == governor.market.rounds_run - 5 > 0
+        assert list(recorder.snapshots) == list(unbounded.snapshots)[-5:]
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -46,3 +46,29 @@ class TestReport:
         )
         text = report.as_table()
         assert "FAIL" in text and "desc" in text
+
+
+class TestValidateCommand:
+    """``repro-experiments validate`` gates on the claims' verdicts."""
+
+    def _main_with(self, monkeypatch, *passed):
+        from repro.experiments import cli
+
+        report = ValidationReport(
+            results=[
+                ClaimResult(f"C{i}", "claim", ok, "evidence")
+                for i, ok in enumerate(passed)
+            ]
+        )
+        monkeypatch.setattr(cli, "validate_reproduction", lambda quick: report)
+        return cli.main(["validate"])
+
+    def test_failed_claim_exits_nonzero(self, monkeypatch):
+        with pytest.raises(SystemExit) as excinfo:
+            self._main_with(monkeypatch, True, False)
+        assert excinfo.value.code not in (None, 0)
+        assert "SOME CLAIMS FAILED" in str(excinfo.value.code)
+
+    def test_all_claims_passing_returns_zero(self, monkeypatch, capsys):
+        assert self._main_with(monkeypatch, True, True) == 0
+        assert "ALL CLAIMS PASS" in capsys.readouterr().out

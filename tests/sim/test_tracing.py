@@ -80,6 +80,26 @@ class TestAttachTracer:
         assert events[0].detail["inter_cluster"] is True
         assert events[0].detail["destination"] == "big.0"
 
+    def test_failed_migration_not_traced(self):
+        task = make_task("swaptions", "l")
+        sim = Simulation(tc2_chip(), [task], BaseGovernor(), config=SimConfig())
+        tracer = attach_tracer(sim)
+        sim.run(0.02)
+        source = sim.placement.core_of(task)
+        sim.hotplug_out(sim.chip.cluster("big"))
+        record = sim.migrate(task, sim.chip.core("big.0"))
+        assert record.failed and sim.failed_migrations == 1
+        assert sim.placement.core_of(task) is source
+        assert tracer.count("migration") == 0
+
+    def test_second_attach_rejected(self):
+        sim = Simulation(tc2_chip(), [], BaseGovernor(), config=SimConfig())
+        tracer = attach_tracer(sim)
+        with pytest.raises(RuntimeError):
+            attach_tracer(sim)
+        sim.request_level(sim.chip.cluster("big"), 1)
+        assert tracer.count("dvfs") == 1
+
     def test_power_gating_traced(self):
         task = make_task("swaptions", "l")
         sim = Simulation(tc2_chip(), [task], BaseGovernor(), config=SimConfig())
