@@ -20,8 +20,6 @@ from .campaigns import (
     merged_windows,
     run_fault_campaign,
     run_soak,
-    write_campaign_report,
-    write_soak_report,
 )
 from .comparative import ComparativeResult, figure4, figure5, figure6, run_comparative
 from .modelerror import (
@@ -31,7 +29,6 @@ from .modelerror import (
     ModelErrorRun,
     build_model_error_schedule,
     run_model_error_campaign,
-    write_model_error_report,
 )
 from .harness import (
     DEFAULT_DURATION_S,
@@ -53,10 +50,9 @@ from .overload import (
     build_overload_arrivals,
     run_overload,
     run_overload_soak,
-    write_overload_report,
-    write_overload_soak_report,
 )
 from .priorities import PriorityResult, figure7, run_priority_experiment
+from .reporting import Report, write_report
 from .running_examples import SingleCoreScenario, table1, table2, table3, table4
 from .savings import SavingsResult, figure8, run_savings_experiment
 from .sweeps import SweepPoint, SweepResult, sweep_parameter
@@ -86,11 +82,8 @@ __all__ = [
     "ModelErrorRun",
     "build_model_error_schedule",
     "run_model_error_campaign",
-    "write_model_error_report",
     "run_fault_campaign",
     "run_soak",
-    "write_campaign_report",
-    "write_soak_report",
     "ConstrainedCoreEmulator",
     "OVERLOAD_MULTIPLIER",
     "OVERLOAD_TDP_W",
@@ -101,12 +94,11 @@ __all__ = [
     "build_overload_arrivals",
     "run_overload",
     "run_overload_soak",
-    "write_overload_report",
-    "write_overload_soak_report",
     "DEFAULT_DURATION_S",
     "DEFAULT_WARMUP_S",
     "GOVERNOR_NAMES",
     "PriorityResult",
+    "Report",
     "RunResult",
     "SavingsResult",
     "ScalabilityPoint",
@@ -136,4 +128,5 @@ __all__ = [
     "table4",
     "table7",
     "validate_reproduction",
+    "write_report",
 ]

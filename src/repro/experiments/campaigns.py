@@ -51,6 +51,7 @@ from ..sim import SimConfig, Simulation
 from ..tasks import build_workload
 from .harness import capped_tdp_w, make_governor
 from .parallel import PointSpec, execute_points
+from .reporting import Report
 
 #: CLI spellings of the single-chip injectable fault kinds.  Fleet-tier
 #: kinds (``FLEET_FAULTS``) address worker *processes*, which a one-chip
@@ -104,7 +105,7 @@ class CampaignRun:
 
 
 @dataclass
-class CampaignResult:
+class CampaignResult(Report):
     """One campaign: a fault kind swept across governors."""
 
     fault: str
@@ -115,44 +116,25 @@ class CampaignResult:
     windows: List[Tuple[float, float]]
     runs: List[CampaignRun] = field(default_factory=list)
 
-    def as_table(self) -> str:
-        header = (
+    COLUMNS = (
+        ("governor", "<10", "", lambda run: run.governor),
+        ("miss in-fault", ">13", ".3f", lambda run: run.miss_fraction_in_fault),
+        ("miss outside", ">13", ".3f", lambda run: run.miss_fraction_outside_fault),
+        ("recovery (s)", ">13", ".2f", lambda run: run.recovery_time_s),
+        ("TDP-viol (s)", ">13", ".2f", lambda run: run.tdp_violation_s),
+        ("avg W", ">7", ".2f", lambda run: run.average_power_w),
+        ("audits", ">7", "d", lambda run: run.audit_violations),
+    )
+
+    @property
+    def stem(self) -> str:
+        return f"campaign_{self.fault}"
+
+    def title(self) -> str:
+        return (
             f"Fault campaign: {self.fault}  (workload {self.workload}, "
             f"{self.duration_s:.0f} s, intensity {self.intensity:.2f}, "
             f"TDP {self.tdp_w:.1f} W, {len(self.windows)} fault windows)"
-        )
-        columns = (
-            f"{'governor':<10} {'miss in-fault':>13} {'miss outside':>13} "
-            f"{'recovery (s)':>13} {'TDP-viol (s)':>13} {'avg W':>7} {'audits':>7}"
-        )
-        rows = []
-        for run in self.runs:
-            recovery = (
-                f"{run.recovery_time_s:.2f}"
-                if run.recovery_time_s is not None
-                else "never"
-            )
-            rows.append(
-                f"{run.governor:<10} {run.miss_fraction_in_fault:>13.3f} "
-                f"{run.miss_fraction_outside_fault:>13.3f} {recovery:>13} "
-                f"{run.tdp_violation_s:>13.2f} {run.average_power_w:>7.2f} "
-                f"{run.audit_violations:>7d}"
-            )
-        return "\n".join([header, "", columns, "-" * len(columns), *rows])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "fault": self.fault,
-                "workload": self.workload,
-                "duration_s": self.duration_s,
-                "intensity": self.intensity,
-                "tdp_w": self.tdp_w,
-                "windows": self.windows,
-                "runs": [asdict(run) for run in self.runs],
-            },
-            indent=2,
-            sort_keys=True,
         )
 
 
@@ -244,41 +226,58 @@ def _campaign_schedule(identity: Dict[str, object]) -> FaultSchedule:
     )
 
 
-def _build_campaign_sim(
-    name: str, identity: Dict[str, object], schedule: FaultSchedule
-) -> Tuple[Simulation, FaultInjector]:
-    """One governor's simulation, injector attached, ready to run."""
+def build_campaign_sim(
+    governor: str,
+    identity: Dict[str, object],
+    schedule: Optional[FaultSchedule] = None,
+    thermal: bool = False,
+    estimation: bool = False,
+) -> Tuple[Simulation, Optional[FaultInjector]]:
+    """One governor's audited, seeded simulation, ready to run.
+
+    ``identity`` supplies the workload, TDP, warm-up and seed; every
+    campaign's identity dict carries those keys.  ``thermal`` adds live
+    thermal tracking with the full protection ladder
+    (:func:`campaign_thermal_config`), ``estimation`` the counter-fitted
+    power model.  With a ``schedule`` a :class:`FaultInjector` is
+    attached and returned alongside the simulation (else ``None``).
+    """
     chip = tc2_chip()
-    tasks = build_workload(identity["workload"])
-    governor = make_governor(name, power_cap_w=identity["tdp_w"])
-    fault_kind = CAMPAIGN_FAULTS[identity["fault"]]
-    thermal = (
-        campaign_thermal_config(chip) if fault_kind in THERMAL_FAULTS else None
-    )
-    # Counter faults only bite a simulation that trades on counters, and
-    # a drifting power model is only interesting when a fitted model
-    # exists to drift away from -- attach the estimation pipeline for
-    # both, exactly as thermal faults pull in thermal tracking.
-    estimation = (
-        EstimationConfig()
-        if fault_kind in COUNTER_FAULTS
-        or fault_kind is FaultKind.POWER_MODEL_DRIFT
-        else None
-    )
     sim = Simulation(
         chip,
-        tasks,
-        governor,
+        build_workload(identity["workload"]),
+        make_governor(governor, power_cap_w=identity["tdp_w"]),
         config=SimConfig(
             metrics_warmup_s=identity["warmup_s"],
             seed=identity["seed"],
             audit=True,
-            thermal=thermal,
-            estimation=estimation,
+            thermal=campaign_thermal_config(chip) if thermal else None,
+            estimation=EstimationConfig() if estimation else None,
         ),
     )
-    injector = FaultInjector(sim, schedule).attach()
-    return sim, injector
+    if schedule is None:
+        return sim, None
+    return sim, FaultInjector(sim, schedule).attach()
+
+
+def _fault_campaign_sim(
+    name: str, identity: Dict[str, object], schedule: FaultSchedule
+) -> Tuple[Simulation, FaultInjector]:
+    """A fault campaign's simulation, with the layers its fault kind needs.
+
+    Thermal faults need thermal tracking.  Counter faults only bite a
+    simulation that trades on counters, and a drifting power model is
+    only interesting when a fitted model exists to drift away from, so
+    both attach the estimation pipeline.
+    """
+    kind = CAMPAIGN_FAULTS[identity["fault"]]
+    return build_campaign_sim(
+        name,
+        identity,
+        schedule,
+        thermal=kind in THERMAL_FAULTS,
+        estimation=kind in COUNTER_FAULTS or kind is FaultKind.POWER_MODEL_DRIFT,
+    )
 
 
 def _campaign_stream(index: int, name: str) -> str:
@@ -423,7 +422,7 @@ def _campaign_point(
     checkpoint artifacts stay inside this point's own subdirectory.
     """
     schedule = _campaign_schedule(identity)
-    sim, injector = _build_campaign_sim(name, identity, schedule)
+    sim, injector = _fault_campaign_sim(name, identity, schedule)
     manager = None
     point_dir = None
     if checkpoint_dir is not None:
@@ -573,7 +572,7 @@ def _resume_point(
     injectors = []
 
     def factory():
-        sim, injector = _build_campaign_sim(name, identity, schedule)
+        sim, injector = _fault_campaign_sim(name, identity, schedule)
         injectors.append(injector)
         return sim
 
@@ -700,7 +699,7 @@ def replay_campaign_checkpoint(
     schedule = _campaign_schedule(identity)
 
     def factory():
-        sim, _ = _build_campaign_sim(name, identity, schedule)
+        sim, _ = _fault_campaign_sim(name, identity, schedule)
         return sim
 
     return replay_from_checkpoint(
@@ -709,20 +708,6 @@ def replay_campaign_checkpoint(
         journal["records"],
         fingerprint_extra={"campaign": identity, "index": index, "governor": name},
     )
-
-
-def write_campaign_report(
-    result: CampaignResult, out_dir: str = "results"
-) -> str:
-    """Write the campaign table and JSON under ``out_dir``; returns the path.
-
-    Both files are written atomically (temp + rename) so a crash mid-write
-    never leaves a truncated report behind.
-    """
-    stem = os.path.join(out_dir, f"campaign_{result.fault}")
-    atomic_write_text(stem + ".txt", result.as_table() + "\n")
-    atomic_write_text(stem + ".json", result.to_json() + "\n")
-    return stem + ".txt"
 
 
 # ----------------------------------------------------------------------
@@ -752,7 +737,7 @@ class SoakRun:
 
 
 @dataclass
-class SoakResult:
+class SoakResult(Report):
     """One soak: every governor through the same compound-fault schedule."""
 
     workload: str
@@ -762,44 +747,29 @@ class SoakResult:
     windows: List[Tuple[float, float]]
     runs: List[SoakRun] = field(default_factory=list)
 
-    def as_table(self) -> str:
-        header = (
+    COLUMNS = (
+        ("governor", "<10", "", lambda run: run.governor),
+        ("MTTR (s)", ">9", ".2f", lambda run: run.mttr_s),
+        ("unrec win", ">9", "d", lambda run: run.unrecovered_windows),
+        ("t>Tcrit (s)", ">11", ".2f", lambda run: run.time_over_tcrit_s),
+        ("cycles", ">7", "d", lambda run: sum(run.thermal_cycles.values())),
+        ("trips", ">6", "d", lambda run: run.supervisor.get("trips", 0)),
+        ("unrec", ">6", "d", lambda run: run.unrecovered_trips),
+        ("audits", ">7", "d", lambda run: run.audit_violations),
+        ("miss in", ">8", ".3f", lambda run: run.miss_fraction_in_fault),
+        ("miss out", ">9", ".3f", lambda run: run.miss_fraction_outside_fault),
+        ("avg W", ">7", ".2f", lambda run: run.average_power_w),
+    )
+
+    @property
+    def stem(self) -> str:
+        return f"soak_{self.workload}"
+
+    def title(self) -> str:
+        return (
             f"Chaos soak  (workload {self.workload}, {self.duration_s:.0f} s, "
             f"seed {self.seed}, TDP {self.tdp_w:.1f} W, "
             f"{len(self.windows)} merged fault windows)"
-        )
-        columns = (
-            f"{'governor':<10} {'MTTR (s)':>9} {'unrec win':>9} "
-            f"{'t>Tcrit (s)':>11} {'cycles':>7} {'trips':>6} {'unrec':>6} "
-            f"{'audits':>7} {'miss in':>8} {'miss out':>9} {'avg W':>7}"
-        )
-        rows = []
-        for run in self.runs:
-            mttr = f"{run.mttr_s:.2f}" if run.mttr_s is not None else "never"
-            rows.append(
-                f"{run.governor:<10} {mttr:>9} {run.unrecovered_windows:>9d} "
-                f"{run.time_over_tcrit_s:>11.2f} "
-                f"{sum(run.thermal_cycles.values()):>7d} "
-                f"{run.supervisor.get('trips', 0):>6d} "
-                f"{run.unrecovered_trips:>6d} {run.audit_violations:>7d} "
-                f"{run.miss_fraction_in_fault:>8.3f} "
-                f"{run.miss_fraction_outside_fault:>9.3f} "
-                f"{run.average_power_w:>7.2f}"
-            )
-        return "\n".join([header, "", columns, "-" * len(columns), *rows])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "workload": self.workload,
-                "duration_s": self.duration_s,
-                "seed": self.seed,
-                "tdp_w": self.tdp_w,
-                "windows": self.windows,
-                "runs": [asdict(run) for run in self.runs],
-            },
-            indent=2,
-            sort_keys=True,
         )
 
 
@@ -865,6 +835,16 @@ def merged_windows(
     return merged
 
 
+def peak_temperature_c(metrics) -> Optional[float]:
+    """Hottest cluster temperature of the run; None without thermal tracking."""
+    peaks = [
+        max(s.cluster_temperature_c.values())
+        for s in metrics.samples
+        if s.cluster_temperature_c
+    ]
+    return max(peaks) if peaks else None
+
+
 def _soak_identity(
     workload: str,
     duration_s: float,
@@ -898,19 +878,7 @@ def _soak_point(identity: Dict[str, object], name: str) -> SoakRun:
     optional here the way it is for the performance sweeps.
     """
     schedule = _soak_schedule(identity)
-    chip = tc2_chip()
-    sim = Simulation(
-        chip,
-        build_workload(identity["workload"]),
-        make_governor(name, power_cap_w=identity["tdp_w"]),
-        config=SimConfig(
-            metrics_warmup_s=identity["warmup_s"],
-            seed=identity["seed"],
-            audit=True,
-            thermal=campaign_thermal_config(chip),
-        ),
-    )
-    injector = FaultInjector(sim, schedule).attach()
+    sim, injector = build_campaign_sim(name, identity, schedule, thermal=True)
     metrics = sim.run(identity["duration_s"])
     episodes = merged_windows(schedule.windows())
     recoveries = [
@@ -918,11 +886,6 @@ def _soak_point(identity: Dict[str, object], name: str) -> SoakRun:
         for _, end in episodes
     ]
     recovered = [r for r in recoveries if r is not None]
-    temp_peaks = [
-        max(s.cluster_temperature_c.values())
-        for s in metrics.samples
-        if s.cluster_temperature_c
-    ]
     supervisor = sim.thermal_supervisor
     return SoakRun(
         governor=name,
@@ -932,7 +895,7 @@ def _soak_point(identity: Dict[str, object], name: str) -> SoakRun:
         thermal_cycles={
             cid: counter.cycles for cid, counter in sim.cycle_counters.items()
         },
-        peak_temperature_c=max(temp_peaks) if temp_peaks else None,
+        peak_temperature_c=peak_temperature_c(metrics),
         supervisor=supervisor.stats() if supervisor is not None else {},
         unrecovered_trips=(
             supervisor.unrecovered_trips if supervisor is not None else 0
@@ -988,11 +951,3 @@ def run_soak(
     ]
     result.runs.extend(execute_points(specs, jobs=jobs))
     return result
-
-
-def write_soak_report(result: SoakResult, out_dir: str = "results") -> str:
-    """Write the soak table and JSON under ``out_dir``; returns the path."""
-    stem = os.path.join(out_dir, f"soak_{result.workload}")
-    atomic_write_text(stem + ".txt", result.as_table() + "\n")
-    atomic_write_text(stem + ".json", result.to_json() + "\n")
-    return stem + ".txt"

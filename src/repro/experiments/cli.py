@@ -19,6 +19,9 @@ Examples::
     repro-experiments fleet --fleet-chips 8 --fleet-epochs 6
     repro-experiments fleet --fleet-fault worker-kill@2:chip03
     repro-experiments fleet --resume-fleet --fleet-dir results/fleet
+
+Each verb accepts only the flags it reads (``repro-experiments <verb>
+--help`` lists them); any other flag is an error, not silently ignored.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..checkpoint import CheckpointError
+from ..fleet import FleetBudgetInvariantError, RetryPolicy
 from ..tasks import DemandTrace
 from .campaigns import (
     CAMPAIGN_FAULTS,
@@ -37,37 +41,25 @@ from .campaigns import (
     resume_fault_campaign,
     run_fault_campaign,
     run_soak,
-    write_campaign_report,
-    write_soak_report,
 )
-from .fleet import (
-    DEFAULT_FLEET_DIR,
-    resume_fleet_campaign,
-    run_fleet_campaign,
-    write_fleet_report,
-)
+from .comparative import figure4, figure5, figure6, run_comparative
+from .fleet import DEFAULT_FLEET_DIR, resume_fleet_campaign, run_fleet_campaign
 from .harness import GOVERNOR_NAMES
 from .modelerror import (
     DEFAULT_DRIFT_RATES,
     DEFAULT_ERROR_MAGNITUDES,
     run_model_error_campaign,
-    write_model_error_report,
 )
-from .overload import (
-    run_overload,
-    run_overload_soak,
-    write_overload_report,
-    write_overload_soak_report,
-)
-
-#: Where campaign checkpoints land unless ``--checkpoint-dir`` says otherwise.
-DEFAULT_CHECKPOINT_DIR = "results/checkpoints"
-from .comparative import figure4, figure5, figure6, run_comparative
+from .overload import run_overload, run_overload_soak
 from .priorities import figure7
+from .reporting import write_report
 from .running_examples import table1, table2, table3, table4
 from .savings import figure8
 from .scalability import table7
 from .validation import validate_reproduction
+
+#: Where campaign checkpoints land unless ``--checkpoint-dir`` says otherwise.
+DEFAULT_CHECKPOINT_DIR = "results/checkpoints"
 
 
 def _run_table1(args) -> str:
@@ -115,6 +107,7 @@ def _run_fig5(args) -> str:
         duration_s=args.duration, warmup_s=args.warmup, jobs=args.jobs,
         strict_audit=args.strict_audit,
     )
+    _export(result, args.export)
     return text + _audit_suffix(args, result)
 
 
@@ -194,6 +187,12 @@ def _checkpoint_directory(args) -> str:
     return directory
 
 
+def _write(result, args) -> str:
+    """Write ``result`` under ``--out``; its table and where it went."""
+    path = write_report(result, out_dir=args.out)
+    return result.as_table() + f"\n\nreport written to {path}"
+
+
 def _run_campaign(args) -> str:
     if args.fault is None:
         raise SystemExit("campaign requires --fault (e.g. --fault sensor-dropout)")
@@ -210,8 +209,7 @@ def _run_campaign(args) -> str:
         checkpoint_interval_s=args.checkpoint_interval,
         jobs=args.jobs,
     )
-    path = write_campaign_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _write(result, args)
 
 
 def _run_soak(args) -> str:
@@ -224,8 +222,7 @@ def _run_soak(args) -> str:
         seed=args.seed,
         jobs=args.jobs,
     )
-    path = write_soak_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _write(result, args)
 
 
 def _run_checkpoint(args) -> str:
@@ -245,8 +242,7 @@ def _run_resume(args) -> str:
         )
     except (CheckpointError, OSError) as exc:
         raise SystemExit(f"resume failed: {exc}")
-    path = write_campaign_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _write(result, args)
 
 
 def _run_replay(args) -> str:
@@ -293,8 +289,7 @@ def _run_model_error(args) -> str:
         seed=args.seed,
         jobs=args.jobs,
     )
-    path = write_model_error_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _write(result, args)
 
 
 def _run_overload(args) -> str:
@@ -310,8 +305,7 @@ def _run_overload(args) -> str:
         trace=trace,
         jobs=args.jobs,
     )
-    path = write_overload_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _write(result, args)
 
 
 def _run_overload_soak(args) -> str:
@@ -327,14 +321,10 @@ def _run_overload_soak(args) -> str:
         trace=trace,
         jobs=args.jobs,
     )
-    path = write_overload_soak_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _write(result, args)
 
 
 def _run_fleet(args) -> str:
-    from ..checkpoint import CheckpointError as _CheckpointError
-    from ..fleet import FleetBudgetInvariantError, RetryPolicy
-
     try:
         if args.resume_fleet:
             result = resume_fleet_campaign(
@@ -356,52 +346,14 @@ def _run_fleet(args) -> str:
         raise SystemExit(f"fleet: {exc}")
     except FleetBudgetInvariantError as exc:
         raise SystemExit(f"fleet budget audit failed: {exc}")
-    except (_CheckpointError, OSError) as exc:
+    except (CheckpointError, OSError) as exc:
         raise SystemExit(f"fleet resume failed: {exc}")
-    path = write_fleet_report(result, out_dir=args.out)
-    return result.as_table() + f"\n\nreport written to {path}"
+    return _write(result, args)
 
 
-_COMMANDS = {
-    "table1": _run_table1,
-    "table2": _run_table2,
-    "table3": _run_table3,
-    "table4": _run_table4,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
-    "table7": _run_table7,
-    "validate": _run_validate,
-}
-
-#: Commands excluded from ``all`` (campaigns are a study, not a figure).
-_EXTRA_COMMANDS = {
-    "campaign": _run_campaign,
-    "soak": _run_soak,
-    "checkpoint": _run_checkpoint,
-    "resume": _run_resume,
-    "replay": _run_replay,
-    "overload": _run_overload,
-    "overload-soak": _run_overload_soak,
-    "model-error": _run_model_error,
-    "fleet": _run_fleet,
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Regenerate the paper's tables and figures.",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(_COMMANDS) + sorted(_EXTRA_COMMANDS) + ["all"],
-        help="which table/figure to regenerate (or 'campaign')",
-    )
-    parser.add_argument(
-        "--jobs",
+#: Every flag, declared once: flag -> ``add_argument`` keyword arguments.
+_FLAGS: Dict[str, Dict[str, object]] = {
+    "--jobs": dict(
         type=int,
         default=None,
         help=(
@@ -409,184 +361,150 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: $REPRO_JOBS or 1; results are identical at any "
             "job count)"
         ),
-    )
-    parser.add_argument(
-        "--duration",
+    ),
+    "--duration": dict(
         type=float,
         default=120.0,
         help="simulated seconds per comparative run (figs 4-6)",
-    )
-    parser.add_argument(
-        "--warmup",
+    ),
+    "--warmup": dict(
         type=float,
         default=30.0,
         help="warm-up seconds excluded from summaries (figs 4-6)",
-    )
-    parser.add_argument(
-        "--fig-duration",
+    ),
+    "--fig-duration": dict(
         type=float,
         default=300.0,
         help="simulated seconds for the figure 7 runs",
-    )
-    parser.add_argument(
-        "--invocations",
+    ),
+    "--invocations": dict(
         type=int,
         default=5,
         help="timed LBT invocations per table 7 configuration",
-    )
-    parser.add_argument(
-        "--export",
+    ),
+    "--export": dict(
         default=None,
         help="write the comparative sweep to this .json/.csv path (figs 4-6)",
-    )
-    parser.add_argument(
-        "--full",
+    ),
+    "--full": dict(
         action="store_true",
         help="validate with benchmark-grade durations instead of quick runs",
-    )
-    parser.add_argument(
-        "--strict-audit",
+    ),
+    "--strict-audit": dict(
         action="store_true",
         help=(
             "run the market auditor every round of the comparative sweeps "
             "(figs 4-6) and report the violation total; slower, off by "
             "default (campaign and soak runs always audit)"
         ),
-    )
-    campaign = parser.add_argument_group("fault campaigns")
-    campaign.add_argument(
-        "--fault",
+    ),
+    "--fault": dict(
         choices=sorted(CAMPAIGN_FAULTS),
         default=None,
         help="fault kind to inject (campaign command)",
-    )
-    campaign.add_argument(
-        "--governors",
+    ),
+    "--governors": dict(
         default=",".join(DEFAULT_CAMPAIGN_GOVERNORS),
         help="comma-separated governors to sweep (default: PPM,HPM,HL)",
-    )
-    campaign.add_argument(
-        "--workload",
+    ),
+    "--workload": dict(
         default=None,
         help="workload set (default: m2 for campaigns/soaks, l1 for overload)",
-    )
-    campaign.add_argument(
-        "--intensity",
+    ),
+    "--intensity": dict(
         type=float,
         default=0.3,
         help="fraction of time under fault, in (0, 0.8] (default: 0.3)",
-    )
-    campaign.add_argument(
-        "--campaign-duration",
+    ),
+    "--campaign-duration": dict(
         type=float,
         default=40.0,
         help="simulated seconds per campaign run (default: 40)",
-    )
-    campaign.add_argument(
-        "--campaign-warmup",
+    ),
+    "--campaign-warmup": dict(
         type=float,
         default=5.0,
         help="warm-up seconds per campaign run (default: 5)",
-    )
-    campaign.add_argument(
-        "--seed",
+    ),
+    "--seed": dict(
         type=int,
         default=1,
         help="engine seed for campaign runs (default: 1)",
-    )
-    campaign.add_argument(
-        "--soak-duration",
+    ),
+    "--soak-duration": dict(
         type=float,
         default=120.0,
         help="simulated seconds for the soak command (default: 120)",
-    )
-    campaign.add_argument(
-        "--out",
+    ),
+    "--out": dict(
         default="results",
         help="directory for campaign reports (default: results/)",
-    )
-    modelerror = parser.add_argument_group("model-error / estimated power")
-    modelerror.add_argument(
-        "--error-magnitudes",
+    ),
+    "--error-magnitudes": dict(
         default=",".join(str(v) for v in DEFAULT_ERROR_MAGNITUDES),
         help=(
             "comma-separated counter-bias magnitudes to sweep "
             "(model-error command; 0 = clean counters)"
         ),
-    )
-    modelerror.add_argument(
-        "--drift-rates",
+    ),
+    "--drift-rates": dict(
         default=",".join(str(v) for v in DEFAULT_DRIFT_RATES),
         help=(
             "comma-separated power-model drift rates per second to sweep "
             "(model-error command; 0 = stable silicon)"
         ),
-    )
-    overload = parser.add_argument_group("overload / flash crowds")
-    overload.add_argument(
-        "--overload-duration",
+    ),
+    "--overload-duration": dict(
         type=float,
         default=30.0,
         help="simulated seconds for the overload command (default: 30)",
-    )
-    overload.add_argument(
-        "--multiplier",
+    ),
+    "--multiplier": dict(
         type=float,
         default=3.0,
         help="flash-crowd burst rate as a multiple of sustainable (default: 3)",
-    )
-    overload.add_argument(
-        "--trace",
+    ),
+    "--trace": dict(
         default=None,
         help="DemandTrace JSON file modulating the arrival rate (optional)",
-    )
-    checkpointing = parser.add_argument_group("checkpoint / resume / replay")
-    checkpointing.add_argument(
-        "--checkpoint-dir",
+    ),
+    "--checkpoint-dir": dict(
         default=None,
         help=(
             "write/read campaign checkpoints here (checkpoint/resume/replay "
             f"default to {DEFAULT_CHECKPOINT_DIR}/)"
         ),
-    )
-    checkpointing.add_argument(
-        "--checkpoint-interval",
+    ),
+    "--checkpoint-interval": dict(
         type=float,
         default=1.0,
         help="simulated seconds between checkpoints (default: 1.0)",
-    )
-    checkpointing.add_argument(
-        "--verify",
+    ),
+    "--verify": dict(
         action="store_true",
         help="replay: exit non-zero if the replay diverges from the journal",
-    )
-    fleet = parser.add_argument_group("fleet campaigns (multi-chip)")
-    fleet.add_argument(
-        "--fleet-chips",
+    ),
+    "--fleet-chips": dict(
         type=int,
         default=8,
         help="number of chips (worker processes) in the fleet (default: 8)",
-    )
-    fleet.add_argument(
-        "--fleet-epochs",
+    ),
+    "--fleet-epochs": dict(
         type=int,
         default=6,
         help="global budget epochs to run (default: 6)",
-    )
-    fleet.add_argument(
-        "--epoch-duration",
+    ),
+    "--epoch-duration": dict(
         type=float,
         default=0.5,
         help="simulated seconds per fleet epoch (default: 0.5)",
-    )
-    fleet.add_argument(
-        "--grid-budget",
+    ),
+    "--grid-budget": dict(
         type=float,
         default=None,
         help="grid power budget in watts (default: 3 W per chip)",
-    )
-    fleet.add_argument(
-        "--fleet-fault",
+    ),
+    "--fleet-fault": dict(
         action="append",
         default=None,
         metavar="KIND@EPOCH:CHIP[:PARAM]",
@@ -595,29 +513,108 @@ def build_parser() -> argparse.ArgumentParser:
             "worker-stall@3:chip05:45, worker-msg-loss@1:chip00:2 "
             "(repeatable)"
         ),
-    )
-    fleet.add_argument(
-        "--fleet-dir",
+    ),
+    "--fleet-dir": dict(
         default=DEFAULT_FLEET_DIR,
         help=(
             "fleet state directory: per-chip checkpoints + manifest "
             f"(default: {DEFAULT_FLEET_DIR}/)"
         ),
-    )
-    fleet.add_argument(
-        "--resume-fleet",
+    ),
+    "--resume-fleet": dict(
         action="store_true",
         help="resume an interrupted fleet campaign from its manifest",
-    )
-    fleet.add_argument(
-        "--fleet-timeout",
+    ),
+    "--fleet-timeout": dict(
         type=float,
         default=10.0,
         help=(
             "base per-attempt worker reply timeout in wall seconds; "
             "retries back off exponentially from here (default: 10)"
         ),
+    ),
+}
+
+_SWEEP = ("--duration", "--warmup", "--jobs", "--strict-audit", "--export")
+_FAULT_CAMPAIGN = (
+    "--fault", "--governors", "--workload", "--intensity",
+    "--campaign-duration", "--campaign-warmup", "--seed",
+    "--checkpoint-dir", "--checkpoint-interval", "--jobs", "--out",
+)
+
+Command = Tuple[Callable[[argparse.Namespace], str], Tuple[str, ...]]
+
+#: verb -> (handler, the flags it reads); ``all`` runs every one of these.
+_COMMANDS: Dict[str, Command] = {
+    "table1": (_run_table1, ()),
+    "table2": (_run_table2, ()),
+    "table3": (_run_table3, ()),
+    "table4": (_run_table4, ()),
+    "fig4": (_run_fig4, _SWEEP),
+    "fig5": (_run_fig5, _SWEEP),
+    "fig6": (_run_fig6, _SWEEP),
+    "fig7": (_run_fig7, ("--fig-duration",)),
+    "fig8": (_run_fig8, ()),
+    "table7": (_run_table7, ("--invocations", "--jobs")),
+    "validate": (_run_validate, ("--full",)),
+}
+
+#: Commands excluded from ``all`` (campaigns are a study, not a figure).
+_EXTRA_COMMANDS: Dict[str, Command] = {
+    "campaign": (_run_campaign, _FAULT_CAMPAIGN),
+    "soak": (_run_soak, (
+        "--governors", "--workload", "--soak-duration", "--campaign-warmup",
+        "--seed", "--jobs", "--out",
+    )),
+    "checkpoint": (_run_checkpoint, _FAULT_CAMPAIGN),
+    "resume": (_run_resume, (
+        "--checkpoint-dir", "--checkpoint-interval", "--jobs", "--out",
+    )),
+    "replay": (_run_replay, ("--checkpoint-dir", "--verify")),
+    "overload": (_run_overload, (
+        "--governors", "--workload", "--overload-duration", "--campaign-warmup",
+        "--seed", "--multiplier", "--trace", "--jobs", "--out",
+    )),
+    "overload-soak": (_run_overload_soak, (
+        "--governors", "--workload", "--soak-duration", "--campaign-warmup",
+        "--seed", "--multiplier", "--trace", "--jobs", "--out",
+    )),
+    "model-error": (_run_model_error, (
+        "--governors", "--workload", "--campaign-duration", "--campaign-warmup",
+        "--error-magnitudes", "--drift-rates", "--seed", "--jobs", "--out",
+    )),
+    "fleet": (_run_fleet, (
+        "--fleet-chips", "--fleet-epochs", "--epoch-duration", "--grid-budget",
+        "--fleet-fault", "--fleet-dir", "--resume-fleet", "--fleet-timeout",
+        "--seed", "--strict-audit", "--out",
+    )),
+}
+
+
+def _verb_flags() -> Dict[str, Tuple[str, ...]]:
+    """The flags each verb accepts; ``all`` takes every figure's."""
+    commands = {**_COMMANDS, **_EXTRA_COMMANDS}
+    flags = {verb: accepted for verb, (_, accepted) in commands.items()}
+    figures = {flag for verb in _COMMANDS for flag in flags[verb]}
+    flags["all"] = tuple(flag for flag in _FLAGS if flag in figures)
+    return flags
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments",
+        description="Regenerate the paper's tables and figures.",
     )
+    verbs = parser.add_subparsers(
+        dest="experiment",
+        required=True,
+        help="which table/figure to regenerate (or 'campaign')",
+    )
+    flags = _verb_flags()
+    for verb in sorted(_COMMANDS) + sorted(_EXTRA_COMMANDS) + ["all"]:
+        subparser = verbs.add_parser(verb)
+        for flag in flags[verb]:
+            subparser.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -629,7 +626,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         names = [args.experiment]
     commands = {**_COMMANDS, **_EXTRA_COMMANDS}
     for name in names:
-        print(commands[name](args))
+        handler, _ = commands[name]
+        print(handler(args))
         print()
     return 0
 

@@ -13,7 +13,6 @@ byte-identical report.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -26,6 +25,7 @@ from ..fleet import (
     RetryPolicy,
     parse_fleet_fault,
 )
+from .reporting import Report
 
 #: Relative electricity price per region (see PAPERS.md: performance-
 #: based pricing in geo-distributed clouds).  Cheap regions clear more
@@ -101,10 +101,15 @@ def build_fault_schedule(specs: Iterable[str]) -> FleetFaultSchedule:
 
 
 @dataclass
-class FleetCampaignResult:
-    """A finished fleet campaign: the supervisor's deterministic report."""
+class FleetCampaignResult(Report):
+    """A finished fleet campaign: the supervisor's deterministic report.
+
+    Rendered per chip rather than per run, so it keeps its own
+    :meth:`as_table` and :meth:`to_json`.
+    """
 
     report: Dict[str, Any]
+    stem = "fleet"
 
     @property
     def epochs_completed(self) -> int:
@@ -216,16 +221,3 @@ def resume_fleet_campaign(
     """Continue an interrupted fleet campaign from its manifest."""
     supervisor = FleetSupervisor.resume(fleet_dir, strict_audit=strict_audit)
     return FleetCampaignResult(supervisor.run())
-
-
-def write_fleet_report(
-    result: FleetCampaignResult, out_dir: str = "results"
-) -> str:
-    """Write ``fleet.txt`` and ``fleet.json`` under ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
-    text_path = os.path.join(out_dir, "fleet.txt")
-    with open(text_path, "w", encoding="utf-8") as handle:
-        handle.write(result.as_table() + "\n")
-    with open(os.path.join(out_dir, "fleet.json"), "w", encoding="utf-8") as handle:
-        handle.write(result.to_json() + "\n")
-    return text_path

@@ -26,20 +26,15 @@ exposes this as ``repro-experiments model-error``.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..checkpoint import atomic_write_text
-from ..core.powerest import EstimationConfig
-from ..faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
+from ..faults import FaultEvent, FaultKind, FaultSchedule
 from ..hw import tc2_chip
-from ..sim import SimConfig, Simulation
-from ..tasks import build_workload
-from .campaigns import DEFAULT_CAMPAIGN_GOVERNORS
-from .harness import capped_tdp_w, make_governor
+from .campaigns import DEFAULT_CAMPAIGN_GOVERNORS, build_campaign_sim
+from .harness import capped_tdp_w
 from .parallel import PointSpec, execute_points
+from .reporting import Report
 
 #: Counter-bias window: (offset after warm-up, length).
 BIAS_START_AFTER_WARMUP_S = 2.0
@@ -75,7 +70,7 @@ class ModelErrorRun:
 
 
 @dataclass
-class ModelErrorResult:
+class ModelErrorResult(Report):
     """One model-error campaign: the full grid across governors."""
 
     workload: str
@@ -86,51 +81,27 @@ class ModelErrorResult:
     drift_rates: List[float]
     runs: List[ModelErrorRun] = field(default_factory=list)
 
-    def as_table(self) -> str:
-        header = (
+    COLUMNS = (
+        ("governor", "<9", "", lambda run: run.governor),
+        ("error", ">6", ".2f", lambda run: run.error_magnitude),
+        ("drift/s", ">8", ".2f", lambda run: run.drift_rate_per_s),
+        ("miss in", ">8", ".3f", lambda run: run.miss_fraction_in_fault),
+        ("miss out", ">9", ".3f", lambda run: run.miss_fraction_outside_fault),
+        ("TDP-viol (s)", ">13", ".2f", lambda run: run.tdp_violation_s),
+        ("est p50", ">8", ".3f", lambda run: run.estimation_error_w.get("p50", 0.0)),
+        ("est p95", ">8", ".3f", lambda run: run.estimation_error_w.get("p95", 0.0)),
+        ("t->fallback", ">12", ".2f", lambda run: run.time_to_fallback_s),
+        ("final", ">8", "", lambda run: run.estimator_state),
+        ("audits", ">7", "d", lambda run: run.audit_violations),
+    )
+    stem = "modelerror"
+
+    def title(self) -> str:
+        return (
             f"Model-error campaign  (workload {self.workload}, "
             f"{self.duration_s:.0f} s, seed {self.seed}, "
             f"TDP {self.tdp_w:.1f} W, errors {self.error_magnitudes}, "
             f"drift rates {self.drift_rates}/s)"
-        )
-        columns = (
-            f"{'governor':<9} {'error':>6} {'drift/s':>8} {'miss in':>8} "
-            f"{'miss out':>9} {'TDP-viol (s)':>13} {'est p50':>8} "
-            f"{'est p95':>8} {'t->fallback':>12} {'final':>8} {'audits':>7}"
-        )
-        rows = []
-        for run in self.runs:
-            fallback = (
-                f"{run.time_to_fallback_s:.2f}"
-                if run.time_to_fallback_s is not None
-                else "never"
-            )
-            rows.append(
-                f"{run.governor:<9} {run.error_magnitude:>6.2f} "
-                f"{run.drift_rate_per_s:>8.2f} "
-                f"{run.miss_fraction_in_fault:>8.3f} "
-                f"{run.miss_fraction_outside_fault:>9.3f} "
-                f"{run.tdp_violation_s:>13.2f} "
-                f"{run.estimation_error_w.get('p50', 0.0):>8.3f} "
-                f"{run.estimation_error_w.get('p95', 0.0):>8.3f} "
-                f"{fallback:>12} {run.estimator_state:>8} "
-                f"{run.audit_violations:>7d}"
-            )
-        return "\n".join([header, "", columns, "-" * len(columns), *rows])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "workload": self.workload,
-                "duration_s": self.duration_s,
-                "seed": self.seed,
-                "tdp_w": self.tdp_w,
-                "error_magnitudes": self.error_magnitudes,
-                "drift_rates": self.drift_rates,
-                "runs": [asdict(run) for run in self.runs],
-            },
-            indent=2,
-            sort_keys=True,
         )
 
 
@@ -218,26 +189,14 @@ def _model_error_point(
     drift_rate_per_s: float,
 ) -> ModelErrorRun:
     """One (governor, error, drift) grid point; picklable for workers."""
-    chip = tc2_chip()
     schedule = build_model_error_schedule(
         error_magnitude,
         drift_rate_per_s,
         identity["duration_s"],
         identity["warmup_s"],
-        chip,
+        tc2_chip(),
     )
-    sim = Simulation(
-        chip,
-        build_workload(identity["workload"]),
-        make_governor(name, power_cap_w=identity["tdp_w"]),
-        config=SimConfig(
-            metrics_warmup_s=identity["warmup_s"],
-            seed=identity["seed"],
-            audit=True,
-            estimation=EstimationConfig(),
-        ),
-    )
-    injector = FaultInjector(sim, schedule).attach()
+    sim, injector = build_campaign_sim(name, identity, schedule, estimation=True)
     metrics = sim.run(identity["duration_s"])
     windows = list(schedule.windows())
     supervisor = sim.estimation.supervisor
@@ -321,13 +280,3 @@ def run_model_error_campaign(
     ]
     result.runs.extend(execute_points(specs, jobs=jobs))
     return result
-
-
-def write_model_error_report(
-    result: ModelErrorResult, out_dir: str = "results"
-) -> str:
-    """Write the campaign table and JSON under ``out_dir``; returns the path."""
-    stem = os.path.join(out_dir, "modelerror")
-    atomic_write_text(stem + ".txt", result.as_table() + "\n")
-    atomic_write_text(stem + ".json", result.to_json() + "\n")
-    return stem + ".txt"

@@ -22,27 +22,24 @@ checking every round.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..checkpoint import atomic_write_text
 from ..core.admission import AdmissionConfig, AdmissionController, OverloadManager
-from ..faults import FaultInjector
 from ..hw import tc2_chip
-from ..sim import SimConfig, Simulation
+from ..sim import Simulation
 from ..sim.engine import derive_stream_seed
-from ..tasks import ArrivalConfig, ArrivalStream, build_workload, sustainable_rate_hz
+from ..tasks import ArrivalConfig, ArrivalStream, sustainable_rate_hz
 from ..tasks.traces import DemandTrace
 from .campaigns import (
     DEFAULT_CAMPAIGN_GOVERNORS,
+    build_campaign_sim,
     build_soak_schedule,
-    campaign_thermal_config,
     merged_windows,
+    peak_temperature_c,
 )
-from .harness import make_governor
 from .parallel import PointSpec, execute_points
+from .reporting import Report
 
 #: The canonical overload severity: burst demand at this multiple of the
 #: sustainable arrival rate (see :func:`repro.tasks.sustainable_rate_hz`).
@@ -164,7 +161,7 @@ class OverloadRun:
 
 
 @dataclass
-class OverloadResult:
+class OverloadResult(Report):
     """One overload scenario swept across governors."""
 
     workload: str
@@ -177,47 +174,32 @@ class OverloadResult:
     burst_window: Tuple[float, float]
     runs: List[OverloadRun] = field(default_factory=list)
 
-    def as_table(self) -> str:
-        header = (
+    COLUMNS = (
+        ("governor", "<10", "", lambda run: run.governor),
+        ("offered", ">8", "d", lambda run: run.offered),
+        ("admit", ">6", "d", lambda run: run.admitted),
+        ("degr", ">5", "d", lambda run: run.admitted_degraded),
+        ("queue", ">6", "d", lambda run: run.queued),
+        ("shed", ">5", "d", lambda run: run.shed_tasks),
+        ("rej", ">5", "d", lambda run: run.rejected),
+        ("peakQ", ">6", "d", lambda run: run.peak_queue_depth),
+        ("p99 miss", ">9", ".3f", lambda run: run.tail_qos["p99"]),
+        ("base p99", ">9", ".3f", lambda run: run.baseline_tail_qos["p99"]),
+        ("lat p95", ">8", ".3f", lambda run: run.admission_latency_s["p95"]),
+        ("audits", ">7", "d", lambda run: run.audit_violations),
+    )
+
+    @property
+    def stem(self) -> str:
+        return f"overload_{self.workload}"
+
+    def title(self) -> str:
+        return (
             f"Overload: flash crowd at {self.multiplier:.1f}x sustainable  "
             f"(workload {self.workload}, {self.duration_s:.0f} s, seed "
             f"{self.seed}, TDP {self.tdp_w:.1f} W, "
             f"{self.arrival_rate_hz:.1f} -> {self.burst_rate_hz:.1f} arr/s "
             f"over t=[{self.burst_window[0]:.0f}, {self.burst_window[1]:.0f}])"
-        )
-        columns = (
-            f"{'governor':<10} {'offered':>8} {'admit':>6} {'degr':>5} "
-            f"{'queue':>6} {'shed':>5} {'rej':>5} {'peakQ':>6} "
-            f"{'p99 miss':>9} {'base p99':>9} {'lat p95':>8} {'audits':>7}"
-        )
-        rows = []
-        for run in self.runs:
-            rows.append(
-                f"{run.governor:<10} {run.offered:>8d} {run.admitted:>6d} "
-                f"{run.admitted_degraded:>5d} {run.queued:>6d} "
-                f"{run.shed_tasks:>5d} {run.rejected:>5d} "
-                f"{run.peak_queue_depth:>6d} {run.tail_qos['p99']:>9.3f} "
-                f"{run.baseline_tail_qos['p99']:>9.3f} "
-                f"{run.admission_latency_s['p95']:>8.3f} "
-                f"{run.audit_violations:>7d}"
-            )
-        return "\n".join([header, "", columns, "-" * len(columns), *rows])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "workload": self.workload,
-                "duration_s": self.duration_s,
-                "seed": self.seed,
-                "tdp_w": self.tdp_w,
-                "multiplier": self.multiplier,
-                "arrival_rate_hz": self.arrival_rate_hz,
-                "burst_rate_hz": self.burst_rate_hz,
-                "burst_window": list(self.burst_window),
-                "runs": [asdict(run) for run in self.runs],
-            },
-            indent=2,
-            sort_keys=True,
         )
 
 
@@ -250,17 +232,7 @@ def _overload_identity(
 def _run_overload_sim(
     identity: Dict[str, object], name: str, with_admission: bool
 ) -> Tuple[Simulation, OverloadManager]:
-    chip = tc2_chip()
-    sim = Simulation(
-        chip,
-        build_workload(identity["workload"]),
-        make_governor(name, power_cap_w=identity["tdp_w"]),
-        config=SimConfig(
-            metrics_warmup_s=identity["warmup_s"],
-            seed=identity["seed"],
-            audit=True,
-        ),
-    )
+    sim, _ = build_campaign_sim(name, identity)
     manager = _build_manager(identity, with_admission).attach(sim)
     sim.run(identity["duration_s"])
     return sim, manager
@@ -394,14 +366,6 @@ def run_overload(
     return result
 
 
-def write_overload_report(result: OverloadResult, out_dir: str = "results") -> str:
-    """Write the overload table and JSON under ``out_dir``; returns the path."""
-    stem = os.path.join(out_dir, f"overload_{result.workload}")
-    atomic_write_text(stem + ".txt", result.as_table() + "\n")
-    atomic_write_text(stem + ".json", result.to_json() + "\n")
-    return stem + ".txt"
-
-
 # ----------------------------------------------------------------------
 # Overload soak: flash crowds on top of compound faults and thermals
 # ----------------------------------------------------------------------
@@ -427,7 +391,7 @@ class OverloadSoakRun:
 
 
 @dataclass
-class OverloadSoakResult:
+class OverloadSoakResult(Report):
     """Every governor through the same overload-plus-faults soak."""
 
     workload: str
@@ -438,43 +402,31 @@ class OverloadSoakResult:
     windows: List[Tuple[float, float]]
     runs: List[OverloadSoakRun] = field(default_factory=list)
 
-    def as_table(self) -> str:
-        header = (
+    COLUMNS = (
+        ("governor", "<10", "", lambda run: run.governor),
+        ("offered", ">8", "d", lambda run: run.offered),
+        ("admit", ">6", "d", lambda run: run.admitted),
+        ("shed", ">5", "d", lambda run: run.shed_tasks),
+        ("rej", ">5", "d", lambda run: run.rejected),
+        ("t/o", ">5", "d", lambda run: run.queue_timeouts),
+        ("peakQ", ">6", "d", lambda run: run.peak_queue_depth),
+        ("p99 miss", ">9", ".3f", lambda run: run.tail_qos["p99"]),
+        ("t>Tcrit", ">8", ".2f", lambda run: run.time_over_tcrit_s),
+        ("unrec", ">6", "d", lambda run: run.unrecovered_trips),
+        ("audits", ">7", "d", lambda run: run.audit_violations),
+        ("avg W", ">7", ".2f", lambda run: run.average_power_w),
+    )
+
+    @property
+    def stem(self) -> str:
+        return f"overload_soak_{self.workload}"
+
+    def title(self) -> str:
+        return (
             f"Overload soak  (workload {self.workload}, "
             f"{self.duration_s:.0f} s, seed {self.seed}, TDP "
             f"{self.tdp_w:.1f} W, {self.multiplier:.1f}x crowd, "
             f"{len(self.windows)} merged fault windows)"
-        )
-        columns = (
-            f"{'governor':<10} {'offered':>8} {'admit':>6} {'shed':>5} "
-            f"{'rej':>5} {'t/o':>5} {'peakQ':>6} {'p99 miss':>9} "
-            f"{'t>Tcrit':>8} {'unrec':>6} {'audits':>7} {'avg W':>7}"
-        )
-        rows = []
-        for run in self.runs:
-            rows.append(
-                f"{run.governor:<10} {run.offered:>8d} {run.admitted:>6d} "
-                f"{run.shed_tasks:>5d} {run.rejected:>5d} "
-                f"{run.queue_timeouts:>5d} {run.peak_queue_depth:>6d} "
-                f"{run.tail_qos['p99']:>9.3f} "
-                f"{run.time_over_tcrit_s:>8.2f} {run.unrecovered_trips:>6d} "
-                f"{run.audit_violations:>7d} {run.average_power_w:>7.2f}"
-            )
-        return "\n".join([header, "", columns, "-" * len(columns), *rows])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "workload": self.workload,
-                "duration_s": self.duration_s,
-                "seed": self.seed,
-                "tdp_w": self.tdp_w,
-                "multiplier": self.multiplier,
-                "windows": self.windows,
-                "runs": [asdict(run) for run in self.runs],
-            },
-            indent=2,
-            sort_keys=True,
         )
 
 
@@ -487,31 +439,14 @@ def _overload_soak_point(identity: Dict[str, object], name: str) -> OverloadSoak
     admission ladder must hold while the thermal ladder is also active
     and sensors are faulting underneath both.
     """
-    chip = tc2_chip()
     schedule = build_soak_schedule(
-        identity["duration_s"], identity["warmup_s"], chip
+        identity["duration_s"], identity["warmup_s"], tc2_chip()
     )
-    sim = Simulation(
-        chip,
-        build_workload(identity["workload"]),
-        make_governor(name, power_cap_w=identity["tdp_w"]),
-        config=SimConfig(
-            metrics_warmup_s=identity["warmup_s"],
-            seed=identity["seed"],
-            audit=True,
-            thermal=campaign_thermal_config(chip),
-        ),
-    )
-    injector = FaultInjector(sim, schedule).attach()
+    sim, injector = build_campaign_sim(name, identity, schedule, thermal=True)
     manager = _build_manager(identity, with_admission=True).attach(sim)
     metrics = sim.run(identity["duration_s"])
     controller = manager.controller
     stats = controller.stats()
-    temp_peaks = [
-        max(s.cluster_temperature_c.values())
-        for s in metrics.samples
-        if s.cluster_temperature_c
-    ]
     supervisor = sim.thermal_supervisor
     return OverloadSoakRun(
         governor=name,
@@ -524,7 +459,7 @@ def _overload_soak_point(identity: Dict[str, object], name: str) -> OverloadSoak
         final_state=controller.state.value,
         tail_qos=_tail(metrics, _committed_population(sim, manager)),
         time_over_tcrit_s=sim.time_over_tcrit_s,
-        peak_temperature_c=max(temp_peaks) if temp_peaks else None,
+        peak_temperature_c=peak_temperature_c(metrics),
         unrecovered_trips=(
             supervisor.unrecovered_trips if supervisor is not None else 0
         ),
@@ -580,13 +515,3 @@ def run_overload_soak(
     ]
     result.runs.extend(execute_points(specs, jobs=jobs))
     return result
-
-
-def write_overload_soak_report(
-    result: OverloadSoakResult, out_dir: str = "results"
-) -> str:
-    """Write the overload-soak table and JSON; returns the text path."""
-    stem = os.path.join(out_dir, f"overload_soak_{result.workload}")
-    atomic_write_text(stem + ".txt", result.as_table() + "\n")
-    atomic_write_text(stem + ".json", result.to_json() + "\n")
-    return stem + ".txt"

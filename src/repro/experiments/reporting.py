@@ -2,12 +2,70 @@
 
 The paper's figures are bar charts and time series; a text harness can't
 draw them, so every experiment renders to aligned ASCII tables -- the same
-rows/columns/series the figures plot.
+rows/columns/series the figures plot.  Campaign results subclass
+:class:`Report` and are written by :func:`write_report`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import json
+import os
+from dataclasses import asdict
+from typing import (
+    Any, Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
+
+from ..checkpoint import atomic_write_text
+
+#: One report column: (header, alignment and width, value format, cell).
+#: ``cell(run)`` returns the value; ``None`` renders as ``never`` (every
+#: optional column is a time-to-event).
+Column = Tuple[str, str, str, Callable[[Any], object]]
+
+
+class Report:
+    """A campaign result: one aligned table and one JSON document.
+
+    Subclasses are dataclasses with a ``runs`` list, one table row per
+    run.  They declare ``stem`` (the report's file name) and ``COLUMNS``
+    as plain class attributes, not fields, so the JSON is exactly the
+    dataclass fields.
+    """
+
+    COLUMNS: ClassVar[Tuple[Column, ...]] = ()
+
+    def title(self) -> str:
+        raise NotImplementedError
+
+    def as_table(self) -> str:
+        header = " ".join(format(name, align) for name, align, _, _ in self.COLUMNS)
+        rows = [
+            " ".join(
+                _cell(cell(run), align, spec) for _, align, spec, cell in self.COLUMNS
+            )
+            for run in self.runs
+        ]
+        return "\n".join([self.title(), "", header, "-" * len(header), *rows])
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+
+def _cell(value: object, align: str, spec: str) -> str:
+    return format("never" if value is None else format(value, spec), align)
+
+
+def write_report(result: Report, out_dir: str = "results") -> str:
+    """Write ``<stem>.txt`` and ``<stem>.json`` under ``out_dir``.
+
+    Both files are written atomically (temp + rename), so a crash
+    mid-write never leaves a truncated report behind.  Returns the path
+    of the text file.
+    """
+    stem = os.path.join(out_dir, result.stem)
+    atomic_write_text(stem + ".txt", result.as_table() + "\n")
+    atomic_write_text(stem + ".json", result.to_json() + "\n")
+    return stem + ".txt"
 
 
 def format_table(

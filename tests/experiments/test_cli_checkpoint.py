@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from repro.experiments.campaigns import run_fault_campaign, write_campaign_report
+from repro.experiments.campaigns import run_fault_campaign
 from repro.experiments.cli import build_parser, main
+from repro.experiments.reporting import write_report
 
 
 CAMPAIGN_ARGS = [
@@ -102,7 +103,7 @@ class TestAtomicReports:
             seed=5,
         )
         out_dir = os.path.join(str(tmp_path), "fresh")  # created on demand
-        path = write_campaign_report(result, out_dir=out_dir)
+        path = write_report(result, out_dir=out_dir)
         assert sorted(os.listdir(out_dir)) == [
             "campaign_sensor-dropout.json",
             "campaign_sensor-dropout.txt",

@@ -18,8 +18,8 @@ from repro.experiments.modelerror import (
     ModelErrorResult,
     build_model_error_schedule,
     run_model_error_campaign,
-    write_model_error_report,
 )
+from repro.experiments.reporting import write_report
 from repro.faults import FaultKind
 from repro.hw import tc2_chip
 from repro.sim import SimConfig, Simulation
@@ -92,7 +92,7 @@ class TestCampaignRunner:
             seed=3,
             jobs=1,
         )
-        text_path = write_model_error_report(result, out_dir=str(tmp_path))
+        text_path = write_report(result, out_dir=str(tmp_path))
         assert text_path.endswith("modelerror.txt")
         payload = json.loads((tmp_path / "modelerror.json").read_text())
         assert payload["runs"][0]["governor"] == "PPM"

@@ -9,7 +9,7 @@ from repro.experiments import (
     build_soak_schedule,
     merged_windows,
     run_soak,
-    write_soak_report,
+    write_report,
 )
 from repro.experiments.campaigns import SOAK_RECOVERY_TAIL_S
 from repro.experiments.cli import build_parser, main
@@ -88,7 +88,7 @@ class TestRunSoak:
 
     def test_report_files_round_trip(self, tmp_path):
         result = run_soak(governors=("PPM",), **SOAK_KW)
-        path = write_soak_report(result, out_dir=str(tmp_path))
+        path = write_report(result, out_dir=str(tmp_path))
         assert os.path.exists(path)
         payload = json.loads(open(path.replace(".txt", ".json")).read())
         assert payload["workload"] == "m2"
@@ -121,11 +121,13 @@ class TestSoakCLI:
         assert "soak" not in _COMMANDS
 
     def test_parser_accepts_soak_flags(self):
-        args = build_parser().parse_args(
-            ["soak", "--soak-duration", "30", "--strict-audit"]
-        )
+        args = build_parser().parse_args(["soak", "--soak-duration", "30"])
         assert args.soak_duration == pytest.approx(30.0)
-        assert args.strict_audit is True
+        # A soak always audits, so it rejects the sweeps' --strict-audit
+        # rather than silently ignoring it.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["soak", "--strict-audit"])
+        assert excinfo.value.code == 2
         assert build_parser().parse_args(["fig4"]).strict_audit is False
 
     def test_cli_soak_end_to_end(self, tmp_path, capsys):

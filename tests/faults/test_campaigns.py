@@ -1,5 +1,6 @@
 """Tests for the fault-campaign harness and its CLI wiring."""
 
+import argparse
 import json
 import os
 
@@ -9,7 +10,7 @@ from repro.experiments import (
     CAMPAIGN_FAULTS,
     build_campaign_schedule,
     run_fault_campaign,
-    write_campaign_report,
+    write_report,
 )
 from repro.experiments.cli import build_parser, main
 from repro.faults import FaultKind
@@ -89,7 +90,7 @@ class TestCampaignRuns:
         )
         table = result.as_table()
         assert "sensor-stuck" in table and "PPM" in table and "HPM" in table
-        path = write_campaign_report(result, out_dir=str(tmp_path))
+        path = write_report(result, out_dir=str(tmp_path))
         assert os.path.exists(path)
         payload = json.loads(
             open(path.replace(".txt", ".json")).read()
@@ -110,8 +111,12 @@ class TestCLI:
         the 'fleet' verb can inject (worker processes, not one sim)."""
         from repro.faults import FLEET_FAULTS
 
-        parser = build_parser()
-        action = next(a for a in parser._actions if a.dest == "fault")
+        verbs = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        campaign = verbs.choices["campaign"]
+        action = next(a for a in campaign._actions if a.dest == "fault")
         assert sorted(action.choices) == sorted(
             k.value for k in FaultKind if k not in FLEET_FAULTS
         )
