@@ -30,11 +30,12 @@ must afford; a task's budget grows with its user priority ``r_t``
 exactly like the paper's allowance distribution, so high-priority
 requests keep full QoS deepest into an overload.
 
-Like the thermal ladder, transitions move at most one rung per
-``check_period_s`` and step down only once pressure has fallen
-``hysteresis`` below the current rung's entry threshold, so the ladder
-cannot chatter.  All state is snapshot/restorable so checkpoint/resume
-and replay stay bit-exact through a flash crowd.
+The rungs are a :class:`~repro.core.ladder.Ladder`, like the thermal
+ladder's: transitions move at most one rung per ``check_period_s`` and
+step down only once pressure has fallen ``hysteresis`` below the
+current rung's entry threshold, so the ladder cannot chatter.  All
+state is snapshot/restorable so checkpoint/resume and replay stay
+bit-exact through a flash crowd.
 """
 
 from __future__ import annotations
@@ -44,28 +45,17 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from ..tasks.arrivals import ArrivalRecord, ArrivalStream
+from .ladder import Ladder
 
 
 class AdmissionState(Enum):
-    """Rung on the admission degradation ladder."""
+    """Rung on the admission degradation ladder, calmest first."""
 
     OPEN = "open"
     DEGRADED = "degraded"
     QUEUE = "queue"
     SHED = "shed"
     REJECT = "reject"
-
-
-#: Ladder order, calmest to most defensive.  Transitions move one rung
-#: per evaluation, so escalation is always degraded -> queue -> shed ->
-#: reject, never a jump.
-_LADDER = [
-    AdmissionState.OPEN,
-    AdmissionState.DEGRADED,
-    AdmissionState.QUEUE,
-    AdmissionState.SHED,
-    AdmissionState.REJECT,
-]
 
 
 @dataclass(frozen=True)
@@ -153,16 +143,16 @@ class AdmissionController:
 
     def __init__(self, config: Optional[AdmissionConfig] = None):
         self.config = config or AdmissionConfig()
-        self.state = AdmissionState.OPEN
-        self._next_check_s = 0.0
-        #: FIFO of ``(record, enqueued_s)`` awaiting admission.
-        self._queue: List[Tuple[ArrivalRecord, float]] = []
-        self._entry = {
+        entry = {
             AdmissionState.DEGRADED: self.config.degrade_at,
             AdmissionState.QUEUE: self.config.queue_at,
             AdmissionState.SHED: self.config.shed_at,
             AdmissionState.REJECT: self.config.reject_at,
         }
+        self._ladder = Ladder(AdmissionState, entry, self.config.hysteresis)
+        self._next_check_s = 0.0
+        #: FIFO of ``(record, enqueued_s)`` awaiting admission.
+        self._queue: List[Tuple[ArrivalRecord, float]] = []
         self.last_pressure = 0.0
         # -- counters (all snapshot/restored) --
         self.offered = 0
@@ -183,6 +173,10 @@ class AdmissionController:
         self.samples: List[tuple] = []
 
     # -- queries -----------------------------------------------------------------
+    @property
+    def state(self) -> AdmissionState:
+        return self._ladder.rung
+
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
@@ -231,17 +225,11 @@ class AdmissionController:
             core_type = core.cluster.core_type if core is not None else "A7"
             demand += task.profile.nominal_demand_pus(core_type)
         if supply <= 0.0:
-            return self._entry[AdmissionState.REJECT] if demand > 0 else 0.0
+            return self.config.reject_at if demand > 0 else 0.0
         pressure = demand / supply
         supervisor = getattr(sim, "thermal_supervisor", None)
-        if supervisor is not None:
-            from .resilience import ThermalState, _LADDER as _THERMAL_LADDER
-
-            hot = _THERMAL_LADDER.index(supervisor.max_state) >= _THERMAL_LADDER.index(
-                ThermalState.WARN
-            )
-            if hot:
-                pressure *= 1.0 + self.config.thermal_surcharge
+        if supervisor is not None and supervisor.hot:
+            pressure *= 1.0 + self.config.thermal_surcharge
         estimation = getattr(sim, "estimation", None)
         if estimation is not None and estimation.degraded:
             # Estimated-power analogue of the thermal surcharge: a
@@ -267,17 +255,10 @@ class AdmissionController:
         logic the simulation uses.
         """
         self.last_pressure = pressure
-        rank = _LADDER.index(self.state)
-        new_rank = rank
-        if rank < len(_LADDER) - 1 and pressure >= self._entry[_LADDER[rank + 1]]:
-            new_rank = rank + 1
-        elif rank > 0 and pressure < self._entry[self.state] - self.config.hysteresis:
-            new_rank = rank - 1
-        if new_rank != rank:
-            self.transitions.append(
-                (now_s, _LADDER[rank].value, _LADDER[new_rank].value, pressure)
-            )
-            self.state = _LADDER[new_rank]
+        move = self._ladder.observe(pressure)
+        if move is not None:
+            old, new = move
+            self.transitions.append((now_s, old.value, new.value, pressure))
         return self.state
 
     # -- queue -------------------------------------------------------------------
@@ -291,7 +272,7 @@ class AdmissionController:
         self._queue = keep
 
     def _drain_queue(self, sim, manager) -> None:
-        if _LADDER.index(self.state) > _LADDER.index(AdmissionState.DEGRADED):
+        if self._ladder.at_least(AdmissionState.QUEUE):
             return
         for _ in range(min(self.config.drain_per_check, len(self._queue))):
             record, _enqueued = self._queue.pop(0)
@@ -358,7 +339,7 @@ class AdmissionController:
             self.evaluate_ladder(now, pressure)
             self._expire_queue(now)
             self._drain_queue(sim, manager)
-            if _LADDER.index(self.state) >= _LADDER.index(AdmissionState.SHED):
+            if self._ladder.at_least(AdmissionState.SHED):
                 self._shed(sim, manager)
             self.samples.append(
                 (now, pressure, self.state.value, len(self._queue))
@@ -392,7 +373,7 @@ class AdmissionController:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        self.state = AdmissionState(state["state"])
+        self._ladder.restore(AdmissionState(state["state"]))
         self._next_check_s = state["next_check_s"]
         self._queue = [
             (ArrivalRecord.from_json_dict(record), enqueued_s)

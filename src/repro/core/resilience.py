@@ -27,6 +27,7 @@ from enum import Enum
 from typing import Dict, List, Optional
 
 from ..hw.sensors import SensorSample
+from .ladder import Ladder
 
 
 @dataclass
@@ -316,17 +317,21 @@ class MarketWatchdog:
     ``divergence_factor * wtdp`` for ``divergence_rounds`` rounds despite
     the market's own emergency machinery.  Either trips the watchdog into
     safe mode; ``recovery_rounds`` consecutive healthy safe-mode rounds
-    arm the market again.
+    arm the market again.  The two states are a :class:`Ladder`: a trip
+    escalates it and a healthy safe-mode round relaxes it.
     """
 
     def __init__(self, config: Optional[ResilienceConfig] = None):
         self.config = config or ResilienceConfig()
-        self.state = WatchdogState.HEALTHY
+        self._ladder = Ladder(WatchdogState, recovery=self.config.recovery_rounds)
         self.trips = 0
         self.trip_reasons: List[str] = []
         self._failures = 0
         self._diverging = 0
-        self._healthy = 0
+
+    @property
+    def state(self) -> WatchdogState:
+        return self._ladder.rung
 
     # -- healthy-state feeds -----------------------------------------------------
     def record_failure(self, reason: str = "round failed") -> bool:
@@ -374,19 +379,16 @@ class MarketWatchdog:
         """Feed one safe-mode round; returns True when recovery completes."""
         if self.state is not WatchdogState.SAFE_MODE:
             return False
-        if healthy:
-            self._healthy += 1
-            if self._healthy >= self.config.recovery_rounds:
-                self.state = WatchdogState.HEALTHY
-                self._reset_counters()
-                return True
-        else:
-            self._healthy = 0
+        if not healthy:
+            self._ladder.hold()
+        elif self._ladder.relax():
+            self._reset_counters()
+            return True
         return False
 
     # -- internals ---------------------------------------------------------------
     def _trip(self, reason: str) -> None:
-        self.state = WatchdogState.SAFE_MODE
+        self._ladder.escalate()
         self.trips += 1
         self.trip_reasons.append(reason)
         self._reset_counters()
@@ -394,11 +396,10 @@ class MarketWatchdog:
     def _reset_counters(self) -> None:
         self._failures = 0
         self._diverging = 0
-        self._healthy = 0
 
     @property
     def in_safe_mode(self) -> bool:
-        return self.state is WatchdogState.SAFE_MODE
+        return self._ladder.rung is WatchdogState.SAFE_MODE
 
     # -- snapshot/restore (checkpointing) ----------------------------------------
     def snapshot_state(self) -> Dict[str, object]:
@@ -408,37 +409,25 @@ class MarketWatchdog:
             "trip_reasons": list(self.trip_reasons),
             "failures": self._failures,
             "diverging": self._diverging,
-            "healthy": self._healthy,
+            "healthy": self._ladder.streak,
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        self.state = WatchdogState(state["state"])
+        self._ladder.restore(WatchdogState(state["state"]), state["healthy"])
         self.trips = state["trips"]
         self.trip_reasons = list(state["trip_reasons"])
         self._failures = state["failures"]
         self._diverging = state["diverging"]
-        self._healthy = state["healthy"]
 
 
 class ThermalState(Enum):
-    """Per-cluster rung on the thermal protection ladder."""
+    """Per-cluster rung on the thermal protection ladder, coolest first."""
 
     NORMAL = "normal"
     WARN = "warn"
     THROTTLE = "throttle"
     SHED = "shed"
     TRIP = "trip"
-
-
-#: Ladder order, coolest to hottest.  Transitions move one rung per
-#: evaluation, so escalation is always warn -> throttle -> shed -> trip.
-_LADDER = [
-    ThermalState.NORMAL,
-    ThermalState.WARN,
-    ThermalState.THROTTLE,
-    ThermalState.SHED,
-    ThermalState.TRIP,
-]
 
 
 class ThermalSupervisor:
@@ -464,21 +453,16 @@ class ThermalSupervisor:
       safe-mode/hotplug machinery; it is replugged on recovery.
 
     The supervisor only ever replugs clusters *it* tripped, so an
-    injected hotplug fault is never masked by thermal recovery.
+    injected hotplug fault is never masked by thermal recovery.  Each
+    cluster gets its own :class:`Ladder` on its first evaluation.
     """
 
     def __init__(self, config, tcrit_c: float = 95.0):
         self.config = config
         self.tcrit_c = tcrit_c
-        self._states: Dict[str, ThermalState] = {}
+        self._ladders: Dict[str, Ladder] = {}
         self._next_check_s = 0.0
         self._tripped: set = set()
-        self._entry_c = {
-            ThermalState.WARN: config.warn_c,
-            ThermalState.THROTTLE: config.throttle_c,
-            ThermalState.SHED: config.shed_c,
-            ThermalState.TRIP: config.trip_c,
-        }
         self.warnings = 0
         self.throttles = 0
         self.sheds = 0
@@ -490,7 +474,8 @@ class ThermalSupervisor:
 
     # -- queries -----------------------------------------------------------------
     def state_of(self, cluster_id: str) -> ThermalState:
-        return self._states.get(cluster_id, ThermalState.NORMAL)
+        ladder = self._ladders.get(cluster_id)
+        return ThermalState.NORMAL if ladder is None else ladder.rung
 
     @property
     def unrecovered_trips(self) -> int:
@@ -498,10 +483,11 @@ class ThermalSupervisor:
         return len(self._tripped)
 
     @property
-    def max_state(self) -> ThermalState:
-        if not self._states:
-            return ThermalState.NORMAL
-        return max(self._states.values(), key=_LADDER.index)
+    def hot(self) -> bool:
+        """Any cluster at WARN or above."""
+        return any(
+            ladder.at_least(ThermalState.WARN) for ladder in self._ladders.values()
+        )
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -537,25 +523,32 @@ class ThermalSupervisor:
         self._apply_surcharge(sim)
 
     # -- ladder mechanics --------------------------------------------------------
+    def _new_ladder(self) -> Ladder:
+        config = self.config
+        entry = {
+            ThermalState.WARN: config.warn_c,
+            ThermalState.THROTTLE: config.throttle_c,
+            ThermalState.SHED: config.shed_c,
+            ThermalState.TRIP: config.trip_c,
+        }
+        return Ladder(ThermalState, entry, config.hysteresis_k)
+
     def _evaluate(self, sim, cluster, temp: float, sample) -> None:
-        cluster_id = cluster.cluster_id
-        state = self.state_of(cluster_id)
-        rank = _LADDER.index(state)
-        new_rank = rank
-        if rank < len(_LADDER) - 1 and temp >= self._entry_c[_LADDER[rank + 1]]:
-            new_rank = rank + 1
-        elif rank > 0 and temp < self._entry_c[state] - self.config.hysteresis_k:
-            new_rank = rank - 1
-        if new_rank != rank:
-            self._transition(sim, cluster, state, _LADDER[new_rank], sample)
-        self._states[cluster_id] = _LADDER[new_rank]
+        ladder = self._ladders.get(cluster.cluster_id)
+        if ladder is None:
+            ladder = self._ladders[cluster.cluster_id] = self._new_ladder()
+        move = ladder.observe(temp)
+        if move is not None:
+            self._transition(sim, cluster, ladder, *move, sample)
         self._adjust_ceiling(sim, cluster, temp)
 
-    def _transition(self, sim, cluster, old: ThermalState, new: ThermalState, sample) -> None:
+    def _transition(
+        self, sim, cluster, ladder: Ladder, old: ThermalState, new: ThermalState, sample
+    ) -> None:
         self.transitions.append(
             (sim.now, cluster.cluster_id, old.value, new.value)
         )
-        if _LADDER.index(new) > _LADDER.index(old):
+        if ladder.rank(new) > ladder.rank(old):
             if new is ThermalState.WARN:
                 self.warnings += 1
             elif new is ThermalState.THROTTLE:
@@ -580,10 +573,9 @@ class ThermalSupervisor:
         dropped below the throttle rung, clearing the ceiling entirely
         when it returns to the table's top level.
         """
-        state = self.state_of(cluster.cluster_id)
         ceiling = sim.level_ceiling_of(cluster.cluster_id)
         max_index = cluster.vf_table.max_index
-        if _LADDER.index(state) >= _LADDER.index(ThermalState.THROTTLE):
+        if self._ladders[cluster.cluster_id].at_least(ThermalState.THROTTLE):
             if temp >= self.config.throttle_c:
                 current = max_index if ceiling is None else ceiling
                 sim.set_level_ceiling(cluster, max(0, current - 1))
@@ -616,13 +608,12 @@ class ThermalSupervisor:
         hook = getattr(sim.governor, "set_thermal_surcharge", None)
         if hook is None:
             return
-        hot = _LADDER.index(self.max_state) >= _LADDER.index(ThermalState.WARN)
-        hook(self.config.warn_surcharge if hot else 0.0)
+        hook(self.config.warn_surcharge if self.hot else 0.0)
 
     # -- snapshot/restore (checkpointing) ----------------------------------------
     def snapshot_state(self) -> Dict[str, object]:
         return {
-            "states": {cid: state.value for cid, state in self._states.items()},
+            "states": {cid: ladder.rung.value for cid, ladder in self._ladders.items()},
             "next_check_s": self._next_check_s,
             "tripped": sorted(self._tripped),
             "warnings": self.warnings,
@@ -635,9 +626,10 @@ class ThermalSupervisor:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        self._states = {
-            cid: ThermalState(value) for cid, value in state["states"].items()
-        }
+        self._ladders = {}
+        for cid, value in state["states"].items():
+            self._ladders[cid] = self._new_ladder()
+            self._ladders[cid].restore(ThermalState(value))
         self._next_check_s = state["next_check_s"]
         self._tripped = set(state["tripped"])
         self.warnings = state["warnings"]
@@ -650,22 +642,12 @@ class ThermalSupervisor:
 
 
 class EstimatorState(Enum):
-    """Chip-global rung on the power-estimator degradation ladder."""
+    """Chip-global rung on the estimator degradation ladder, healthy first."""
 
     HEALTHY = "healthy"
     FROZEN = "frozen"
     MARGIN = "margin"
     FALLBACK = "fallback"
-
-
-#: Ladder order, healthy to degraded.  Like the thermal ladder,
-#: transitions move one rung per evaluation.
-_ESTIMATOR_LADDER = [
-    EstimatorState.HEALTHY,
-    EstimatorState.FROZEN,
-    EstimatorState.MARGIN,
-    EstimatorState.FALLBACK,
-]
 
 #: Health-score (worst-cluster innovation EWMA / gate) entry thresholds.
 _ESTIMATOR_ENTRY = {
@@ -713,9 +695,10 @@ class EstimatorSupervisor:
     def __init__(self, config, max_cluster_power_w: Dict[str, float]):
         self.config = config
         self._max_power = dict(max_cluster_power_w)
-        self.state = EstimatorState.HEALTHY
+        self._ladder = Ladder(
+            EstimatorState, _ESTIMATOR_ENTRY, config.hysteresis, config.recovery_checks
+        )
         self._next_check_s = 0.0
-        self._healthy_checks = 0
         self.nonfinite_reads = 0
         self.clamped_reads = 0
         self.rejected_reads = 0
@@ -728,11 +711,13 @@ class EstimatorSupervisor:
 
     # -- queries -----------------------------------------------------------------
     @property
+    def state(self) -> EstimatorState:
+        return self._ladder.rung
+
+    @property
     def degraded(self) -> bool:
         """Margin or worse: admission should price in the uncertainty."""
-        return _ESTIMATOR_LADDER.index(self.state) >= _ESTIMATOR_LADDER.index(
-            EstimatorState.MARGIN
-        )
+        return self._ladder.at_least(EstimatorState.MARGIN)
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -786,33 +771,15 @@ class EstimatorSupervisor:
     # -- ladder mechanics --------------------------------------------------------
     def _evaluate(self, sim, estimator) -> None:
         score = estimator.health_score()
-        rank = _ESTIMATOR_LADDER.index(self.state)
-        new_rank = rank
-        if (
-            rank < len(_ESTIMATOR_LADDER) - 1
-            and score >= _ESTIMATOR_ENTRY[_ESTIMATOR_LADDER[rank + 1]]
-        ):
-            new_rank = rank + 1
-            self._healthy_checks = 0
-        elif (
-            rank > 0
-            and score < _ESTIMATOR_ENTRY[self.state] - self.config.hysteresis
-        ):
-            self._healthy_checks += 1
-            if self._healthy_checks >= self.config.recovery_checks:
-                new_rank = rank - 1
-                self._healthy_checks = 0
-        else:
-            self._healthy_checks = 0
-        if new_rank != rank:
-            self._transition(sim, estimator, _ESTIMATOR_LADDER[new_rank], score)
+        move = self._ladder.observe(score)
+        if move is not None:
+            self._transition(sim, estimator, *move, score)
 
-    def _transition(self, sim, estimator, new: EstimatorState, score: float) -> None:
-        old = self.state
+    def _transition(
+        self, sim, estimator, old: EstimatorState, new: EstimatorState, score: float
+    ) -> None:
         self.transitions.append((sim.now, old.value, new.value, score))
-        self.state = new
-        new_rank = _ESTIMATOR_LADDER.index(new)
-        if new_rank > _ESTIMATOR_LADDER.index(old):
+        if self._ladder.rank(new) > self._ladder.rank(old):
             if new is EstimatorState.FROZEN:
                 self.freezes += 1
             elif new is EstimatorState.MARGIN:
@@ -834,7 +801,7 @@ class EstimatorSupervisor:
         return {
             "state": self.state.value,
             "next_check_s": self._next_check_s,
-            "healthy_checks": self._healthy_checks,
+            "healthy_checks": self._ladder.streak,
             "nonfinite_reads": self.nonfinite_reads,
             "clamped_reads": self.clamped_reads,
             "rejected_reads": self.rejected_reads,
@@ -846,9 +813,8 @@ class EstimatorSupervisor:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        self.state = EstimatorState(state["state"])
+        self._ladder.restore(EstimatorState(state["state"]), state["healthy_checks"])
         self._next_check_s = state["next_check_s"]
-        self._healthy_checks = state["healthy_checks"]
         self.nonfinite_reads = state["nonfinite_reads"]
         self.clamped_reads = state["clamped_reads"]
         self.rejected_reads = state["rejected_reads"]

@@ -17,9 +17,9 @@ the market clears grants under three rules:
   demand than expensive-region ones.
 * **Readmission ladder** -- a chip returning from a crash re-enters the
   auction at a fraction of its claim and climbs one rung per healthy
-  epoch with hysteresis (:class:`ReadmissionLadder`), mirroring the
-  AdmissionController/ThermalSupervisor ladder idiom, so recovery can
-  never oscillate the budget split.
+  epoch with hysteresis (:class:`ReadmissionLadder`), built on the same
+  :class:`~repro.core.ladder.Ladder` as the chip's own supervisors, so
+  recovery can never oscillate the budget split.
 """
 
 from __future__ import annotations
@@ -27,7 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.ladder import Ladder, Move
+
 _EPS = 1e-9
+
+#: One logged ladder move: ``(epoch, from_rung, to_rung)``, ``None`` = DOWN.
+Transition = Tuple[int, Optional[int], Optional[int]]
 
 
 class FleetBudgetInvariantError(AssertionError):
@@ -114,22 +119,30 @@ class ReadmissionLadder:
     Any failure drops straight to DOWN and resets the streak, so a chip
     flapping between alive and dead can never oscillate its grant above
     the bottom rung.
+
+    The rungs of the underlying :class:`~repro.core.ladder.Ladder` are
+    the weight indices, full share (calmest) first: a failure is
+    ``drop``, a restart ``reenter`` and a healthy epoch ``relax``.
     """
 
     def __init__(self, config: FleetBudgetConfig):
         self.config = config
-        self.rung: Optional[int] = len(config.ladder_weights) - 1
-        self.healthy_streak = 0
+        top = len(config.ladder_weights) - 1
+        self._ladder = Ladder(range(top, -1, -1), recovery=config.hysteresis_epochs)
         #: (epoch, from_rung, to_rung) history; ``None`` encodes DOWN.
-        self.transitions: List[Tuple[int, Optional[int], Optional[int]]] = []
+        self.transitions: List[Transition] = []
+
+    @property
+    def rung(self) -> Optional[int]:
+        return self._ladder.rung
+
+    @property
+    def healthy_streak(self) -> int:
+        return self._ladder.streak
 
     @property
     def down(self) -> bool:
         return self.rung is None
-
-    @property
-    def full(self) -> bool:
-        return self.rung == len(self.config.ladder_weights) - 1
 
     def weight(self) -> Optional[float]:
         """Claim fraction at the current rung; ``None`` while down."""
@@ -137,32 +150,21 @@ class ReadmissionLadder:
             return None
         return self.config.ladder_weights[self.rung]
 
-    def _move(self, epoch: int, to_rung: Optional[int]) -> None:
-        if to_rung != self.rung:
-            self.transitions.append((epoch, self.rung, to_rung))
-        self.rung = to_rung
+    def _log(self, epoch: int, move: Move) -> None:
+        if move is not None:
+            self.transitions.append((epoch, *move))
 
     def on_failure(self, epoch: int) -> None:
         """The chip crashed or stalled: out of the auction entirely."""
-        self._move(epoch, None)
-        self.healthy_streak = 0
+        self._log(epoch, self._ladder.drop())
 
     def on_restart(self, epoch: int) -> None:
         """The chip is back from its checkpoint: bottom-rung probation."""
-        self._move(epoch, 0)
-        self.healthy_streak = 0
+        self._log(epoch, self._ladder.reenter())
 
     def on_healthy_epoch(self, epoch: int) -> None:
         """One aligned, fault-free epoch: at most one promotion."""
-        if self.rung is None:
-            return
-        self.healthy_streak += 1
-        if (
-            not self.full
-            and self.healthy_streak >= self.config.hysteresis_epochs
-        ):
-            self._move(epoch, self.rung + 1)
-            self.healthy_streak = 0
+        self._log(epoch, self._ladder.relax())
 
     def snapshot_state(self) -> Dict[str, object]:
         return {
@@ -172,8 +174,7 @@ class ReadmissionLadder:
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
-        self.rung = state["rung"]
-        self.healthy_streak = int(state["healthy_streak"])
+        self._ladder.restore(state["rung"], int(state["healthy_streak"]))
         self.transitions = [
             (int(e), f if f is None else int(f), t if t is None else int(t))
             for e, f, t in state["transitions"]
@@ -282,6 +283,13 @@ class FleetAuditRecord:
         )
 
 
+def _unlogged(cid: str, old: Optional[int], new: Optional[int]) -> str:
+    def name(rung: Optional[int]) -> str:
+        return "DOWN" if rung is None else str(rung)
+
+    return f"F5 unlogged move: {cid} moved {name(old)} -> {name(new)}"
+
+
 class FleetBudgetAuditor:
     """Verifies the grid budget's invariants after every clearing.
 
@@ -291,12 +299,16 @@ class FleetBudgetAuditor:
     F2  No negative grants.
     F3  A down chip (ladder weight ``None``) is granted exactly zero.
     F4  No grant exceeds the chip's ladder-weighted claim.
-    F5  No ladder transition since the previous epoch skipped a rung
-        (DOWN <-> bottom and one-step promotions are the only moves).
+    F5  Every ladder move of the epoch was logged and legal: a crash to
+        DOWN, a restart onto the bottom rung, or a promotion of one rung.
 
-    ``strict`` raises :class:`FleetBudgetInvariantError` on the first
-    violation; otherwise records accumulate for the fleet report, the
-    same split :class:`~repro.core.audit.MarketAuditor` offers.
+    :meth:`audit_epoch` checks F1--F4 at the clearing and opens the
+    epoch's record; :meth:`audit_moves` checks F5 on that record once
+    the epoch's promotions are done, so it sees every move, not only the
+    restarts before the clearing.  ``strict`` raises
+    :class:`FleetBudgetInvariantError` on the first violation; otherwise
+    records accumulate for the fleet report, the same split
+    :class:`~repro.core.audit.MarketAuditor` offers.
     """
 
     _AUDIT_EPS = 1e-6
@@ -312,8 +324,6 @@ class FleetBudgetAuditor:
         bids: Sequence[ChipBid],
         weights: Mapping[str, Optional[float]],
         grants: Mapping[str, float],
-        previous_rungs: Mapping[str, Optional[int]],
-        current_rungs: Mapping[str, Optional[int]],
     ) -> FleetAuditRecord:
         granted = sum(grants.values())
         record = FleetAuditRecord(
@@ -344,30 +354,48 @@ class FleetBudgetAuditor:
                         f"F4 over-claim: {cid} granted {grant:.6f} W above "
                         f"its weighted claim {claim:.6f} W"
                     )
+        self.records.append(record)
+        self._check(record)
+        return record
+
+    def audit_moves(
+        self,
+        record: FleetAuditRecord,
+        previous_rungs: Mapping[str, Optional[int]],
+        moves: Mapping[str, Sequence[Transition]],
+        current_rungs: Mapping[str, Optional[int]],
+    ) -> FleetAuditRecord:
+        """F5 over ``record``'s epoch: the ``(epoch, from, to)`` moves each
+        chip's ladder logged must be legal and must chain from its rung in
+        ``previous_rungs`` (epoch start) to its rung in ``current_rungs``
+        (after promotions).  A break in the chain is a move nobody logged."""
         for cid in sorted(current_rungs):
-            prev = previous_rungs.get(cid)
-            cur = current_rungs[cid]
-            if prev is None or cur is None:
-                # DOWN transitions (either direction) are legal in one
-                # step: a crash exits the ladder, a restart re-enters at
-                # the bottom -- F5 only constrains rung-to-rung moves,
-                # plus restarts must land on the bottom rung.
-                if prev is None and cur is not None and cur != 0:
+            rung = previous_rungs[cid]
+            for _epoch, prev, cur in moves.get(cid, ()):
+                if prev != rung:
+                    record.violations.append(_unlogged(cid, rung, prev))
+                if prev is None and cur != 0:
                     record.violations.append(
                         f"F5 rung skip: {cid} re-admitted at rung {cur}, "
                         "not the bottom"
                     )
-                continue
-            if abs(cur - prev) > 1:
+                elif None not in (prev, cur) and cur != prev + 1:
+                    record.violations.append(
+                        f"F5 rung skip: {cid} moved {prev} -> {cur} in one step"
+                    )
+                rung = cur
+            if rung != current_rungs[cid]:
                 record.violations.append(
-                    f"F5 rung skip: {cid} moved {prev} -> {cur} in one epoch"
+                    _unlogged(cid, rung, current_rungs[cid])
                 )
-        self.records.append(record)
+        self._check(record)
+        return record
+
+    def _check(self, record: FleetAuditRecord) -> None:
         if self.strict and record.violations:
             raise FleetBudgetInvariantError(
-                f"epoch {epoch}: " + "; ".join(record.violations)
+                f"epoch {record.epoch}: " + "; ".join(record.violations)
             )
-        return record
 
     def violations(self) -> List[str]:
         out: List[str] = []

@@ -15,7 +15,8 @@ epochs.  Every epoch it:
    lagging chips (fresh from a checkpoint) catch up a bounded number of
    chip-epochs per round;
 5. promotes ladders for chips that finished the epoch aligned and
-   healthy, then writes the fleet checkpoint manifest.
+   healthy, audits every ladder move of the epoch, then writes the
+   fleet checkpoint manifest.
 
 Failure detection is entirely in-band: a dead worker surfaces as a
 closed pipe, a wedged one as an exhausted retry schedule
@@ -435,8 +436,15 @@ class FleetSupervisor:
             self._shutdown_all()
 
     def _run_epoch(self, epoch: int) -> None:
+        # Each ladder's rung and where its move log stands, so step 5 can
+        # audit every move this epoch makes (restarts, crashes and
+        # promotions) and catch one that changed a rung without logging.
         previous_rungs = {
             cid: handle.ladder.rung for cid, handle in self.handles.items()
+        }
+        logged = {
+            cid: len(handle.ladder.transitions)
+            for cid, handle in self.handles.items()
         }
         # 1. Recovery: restart everything that is down, at bottom rung.
         # Processes start first and say hello after their (slow) imports
@@ -475,14 +483,8 @@ class FleetSupervisor:
         current_rungs = {
             cid: handle.ladder.rung for cid, handle in self.handles.items()
         }
-        self.auditor.audit_epoch(
-            epoch,
-            self.config.budget,
-            bids,
-            weights,
-            grants,
-            previous_rungs,
-            current_rungs,
+        record = self.auditor.audit_epoch(
+            epoch, self.config.budget, bids, weights, grants
         )
 
         # 4. Drive every live chip (with bounded catch-up for laggards).
@@ -498,10 +500,20 @@ class FleetSupervisor:
             if ran:
                 results[handle.chip_id] = ran
 
-        # 5. Ladder promotions for chips that ended the epoch aligned.
+        # 5. Ladder promotions for chips that ended the epoch aligned,
+        # then the audit of every ladder move of the epoch.
         for handle in self._sorted_handles():
             if handle.up and handle.completed_epochs == epoch + 1:
                 handle.ladder.on_healthy_epoch(epoch)
+        self.auditor.audit_moves(
+            record,
+            previous_rungs,
+            {
+                cid: handle.ladder.transitions[logged[cid]:]
+                for cid, handle in self.handles.items()
+            },
+            {cid: handle.ladder.rung for cid, handle in self.handles.items()},
+        )
 
         self.rows.append(
             {

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import AdmissionConfig, AdmissionController, AdmissionState
-from repro.core.admission import _LADDER
 from repro.tasks import ArrivalRecord
+
+#: Ladder order is the enum's definition order, calmest first.
+RUNGS = list(AdmissionState)
 
 
 def make_record(index=1, priority=2, arrival_s=0.0):
@@ -37,10 +39,10 @@ class TestLadderProperties:
     @given(sequence=pressures)
     def test_never_skips_a_rung(self, sequence):
         controller = AdmissionController()
-        rank = _LADDER.index(controller.state)
+        rank = RUNGS.index(controller.state)
         for i, pressure in enumerate(sequence):
             controller.evaluate_ladder(float(i), pressure)
-            new_rank = _LADDER.index(controller.state)
+            new_rank = RUNGS.index(controller.state)
             assert abs(new_rank - rank) <= 1
             rank = new_rank
 
@@ -60,13 +62,13 @@ class TestLadderProperties:
         for i, pressure in enumerate(sequence):
             before = controller.state
             after = controller.evaluate_ladder(float(i), pressure)
-            rank, new_rank = _LADDER.index(before), _LADDER.index(after)
+            rank, new_rank = RUNGS.index(before), RUNGS.index(after)
             if new_rank > rank:
                 assert pressure >= entry[after]
             elif new_rank < rank:
                 assert pressure < entry[before] - config.hysteresis
             else:
-                up = rank + 1 < len(_LADDER) and pressure >= entry[_LADDER[rank + 1]]
+                up = rank + 1 < len(RUNGS) and pressure >= entry[RUNGS[rank + 1]]
                 down = rank > 0 and pressure < entry[before] - config.hysteresis
                 assert not up and not down
 

@@ -20,11 +20,13 @@ from repro.core.powerest import (
 )
 from repro.core.resilience import (
     _ESTIMATOR_ENTRY,
-    _ESTIMATOR_LADDER,
     EstimatorState,
     EstimatorSupervisor,
 )
 from repro.hw import tc2_chip
+
+#: Ladder order is the enum's definition order, healthy first.
+ESTIMATOR_RUNGS = list(EstimatorState)
 
 
 class TestEstimationConfigValidation:
@@ -180,7 +182,7 @@ class TestEstimatorLadderProperties:
         visited = drive(supervisor, sim, estimator, scores)
         for old, new in zip(visited, visited[1:]):
             assert abs(
-                _ESTIMATOR_LADDER.index(new) - _ESTIMATOR_LADDER.index(old)
+                ESTIMATOR_RUNGS.index(new) - ESTIMATOR_RUNGS.index(old)
             ) <= 1
 
     @settings(max_examples=100, deadline=None)

@@ -110,17 +110,7 @@ def test_auditor_accepts_every_clearing(fleet):
     config, bids, weights = fleet
     grants = clear_grants(config, bids, weights)
     auditor = FleetBudgetAuditor(strict=True)
-    rungs = {
-        cid: (
-            None
-            if weights[cid] is None
-            else config.ladder_weights.index(weights[cid])
-        )
-        for cid in weights
-    }
-    record = auditor.audit_epoch(
-        0, config, bids, weights, grants, rungs, rungs
-    )
+    record = auditor.audit_epoch(0, config, bids, weights, grants)
     assert record.ok
 
 
@@ -199,6 +189,18 @@ def test_ladder_failure_resets_streak():
     assert ladder.rung == 0  # the pre-failure streak must not carry over
 
 
+def test_full_share_chip_keeps_counting_healthy_epochs():
+    """The top rung cannot promote, but its streak still counts."""
+    ladder = ReadmissionLadder(FleetBudgetConfig(grid_budget_w=8.0))
+    for epoch in range(5):
+        ladder.on_healthy_epoch(epoch)
+    assert ladder.snapshot_state() == {
+        "rung": 3,
+        "healthy_streak": 5,
+        "transitions": [],
+    }
+
+
 def test_ladder_snapshot_roundtrip():
     config = FleetBudgetConfig(grid_budget_w=8.0)
     ladder = ReadmissionLadder(config)
@@ -218,8 +220,7 @@ def test_auditor_catches_conservation_violation():
     auditor = FleetBudgetAuditor(strict=True)
     with pytest.raises(FleetBudgetInvariantError, match="F1 conservation"):
         auditor.audit_epoch(
-            0, config, bids, {"chip00": 1.0}, {"chip00": 9.0},
-            {"chip00": 3}, {"chip00": 3},
+            0, config, bids, {"chip00": 1.0}, {"chip00": 9.0}
         )
 
 
@@ -236,12 +237,74 @@ def test_auditor_catches_paid_down_chip_and_rung_skip():
         bids,
         {"chip00": None, "chip01": 1.0},
         {"chip00": 1.0, "chip01": 4.0},
+    )
+    auditor.audit_moves(
+        record,
         {"chip00": None, "chip01": 1},
-        {"chip00": 2, "chip01": 3},  # readmitted above bottom + 2-rung jump
+        # readmitted above bottom + 2-rung jump
+        {"chip00": [(0, None, 2)], "chip01": [(0, 1, 3)]},
+        {"chip00": 2, "chip01": 3},
     )
     kinds = " ".join(record.violations)
     assert "F3" in kinds and "F5" in kinds
     assert len(auditor.violations()) == len(record.violations)
+
+
+def test_auditor_catches_unlogged_moves():
+    """The logged moves must chain from the epoch-start rung to the rung
+    the ladder ends on; each break is a move the log left out."""
+    config = FleetBudgetConfig(grid_budget_w=8.0)
+    bids = [ChipBid(chip_id="chip00", bid_w=4.0, tdp_w=8.0)]
+    weights, grants = {"chip00": 1.0}, {"chip00": 4.0}
+    auditor = FleetBudgetAuditor()
+    record = auditor.audit_epoch(0, config, bids, weights, grants)
+    auditor.audit_moves(
+        record,
+        {"chip00": 0, "chip01": None},
+        {"chip00": [(0, 1, 2)]},
+        {"chip00": 3, "chip01": 1},
+    )
+    assert record.violations == [
+        "F5 unlogged move: chip00 moved 0 -> 1",
+        "F5 unlogged move: chip00 moved 2 -> 3",
+        "F5 unlogged move: chip01 moved DOWN -> 1",
+    ]
+    strict = FleetBudgetAuditor(strict=True)
+    record = strict.audit_epoch(1, config, bids, weights, grants)
+    with pytest.raises(FleetBudgetInvariantError, match="F5 unlogged move"):
+        strict.audit_moves(record, {"chip00": 2}, {}, {"chip00": 3})
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["healthy", "failure", "restart"]), max_size=4),
+        max_size=12,
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_auditor_passes_every_legal_ladder_history(epochs, hysteresis):
+    """Whatever a real ladder does in an epoch, F5 finds nothing."""
+    config = FleetBudgetConfig(grid_budget_w=8.0, hysteresis_epochs=hysteresis)
+    ladder = ReadmissionLadder(config)
+    auditor = FleetBudgetAuditor(strict=True)
+    for epoch, events in enumerate(epochs):
+        start, logged = ladder.rung, len(ladder.transitions)
+        record = auditor.audit_epoch(epoch, config, [], {}, {})
+        for event in events:
+            if event == "healthy":
+                ladder.on_healthy_epoch(epoch)
+            elif event == "failure":
+                ladder.on_failure(epoch)
+            elif ladder.down:
+                ladder.on_restart(epoch)
+        auditor.audit_moves(
+            record,
+            {"chip00": start},
+            {"chip00": ladder.transitions[logged:]},
+            {"chip00": ladder.rung},
+        )
+        assert record.ok
 
 
 def test_duplicate_chip_ids_rejected():

@@ -18,6 +18,7 @@ from repro.fleet import (
     FleetConfig,
     FleetFaultSchedule,
     FleetSupervisor,
+    ReadmissionLadder,
     RetryPolicy,
     parse_fleet_fault,
 )
@@ -153,6 +154,44 @@ def test_hysteresis_slows_readmission(tmp_path):
     top = len(config.budget.ladder_weights) - 1
     assert all(r is None or r < top for r in rungs[2:])
     assert report["audit"]["violations"] == []
+
+
+@pytest.mark.parametrize(
+    "logs, violation",
+    [
+        (True, "F5 rung skip: chip01 moved 0 -> 2 in one step"),
+        (False, "F5 unlogged move: chip01 moved 0 -> 2"),
+    ],
+    ids=["logged", "unlogged"],
+)
+def test_audit_flags_a_promotion_that_skips_a_rung(
+    tmp_path, monkeypatch, logs, violation
+):
+    """F5 sees promotions, not only the restarts before the clearing,
+    and sees them whether or not the ladder logs them.
+
+    Promotions are patched to climb two rungs, through the snapshot
+    interface only.  The killed chip is readmitted on rung 0 at epoch 2
+    and then promoted straight to rung 2 in the same epoch.
+    """
+
+    def skip_a_rung(self, epoch):
+        state = self.snapshot_state()
+        rung = state["rung"]
+        if rung is None:
+            return
+        new = min(rung + 2, len(self.config.ladder_weights) - 1)
+        if new != rung and logs:
+            state["transitions"].append([epoch, rung, new])
+        state["rung"], state["healthy_streak"] = new, 0
+        self.restore_state(state)
+
+    monkeypatch.setattr(ReadmissionLadder, "on_healthy_epoch", skip_a_rung)
+    config = small_config(epochs=3, epoch_s=0.3, chips=3)
+    schedule = FleetFaultSchedule([parse_fleet_fault("worker-kill@1:chip01")])
+    report = run_fleet(tmp_path, "skip", config, schedule)
+    assert ([2, 0, 2] in report["chips"]["chip01"]["ladder_transitions"]) == logs
+    assert report["audit"]["violations"] == [f"epoch 2: {violation}"]
 
 
 def test_per_chip_checkpoints_live_under_fleet_dir(tmp_path):
