@@ -5,10 +5,11 @@ Usage::
 
     python scripts/ci_output_tree.py OUT
 
-Runs the fourteen command lines below with this checkout's ``repro``
+Runs the nineteen command lines below with this checkout's ``repro``
 package on the path: fault campaigns, soak, overload, overload-soak,
-model-error, two fleets (one with a worker kill), and a checkpointed
-run with its replay and resume.  Reports, checkpoints, journals and
+model-error, two fleets (one with a worker kill), and two checkpointed
+runs (sensor dropout, then heartbeat loss) each resumed, the first also
+replayed.  Reports, checkpoints, journals and
 fleet manifests land under ``OUT``, and each command's stdout is saved
 as ``OUT/stdout/NN_<verb>.txt`` with ``OUT`` replaced by ``<O>``.
 
@@ -48,6 +49,11 @@ resume --checkpoint-dir $O/ckpt --out $O
 checkpoint --fault thermal-runaway --governors PPM --campaign-duration 15 --campaign-warmup 3 --seed 2 --checkpoint-dir $O/ckpt_thermal --out $O/x1
 checkpoint --fault power-model-drift --governors PPM --campaign-duration 15 --campaign-warmup 3 --seed 2 --checkpoint-dir $O/ckpt_est --out $O/x2
 fleet --fleet-chips 3 --fleet-epochs 5 --epoch-duration 0.3 --fleet-fault worker-kill@1:chip01 --fleet-dir $O/fleetdir_fault --fleet-timeout 5 --out $O/x3
+campaign --fault heartbeat-loss --governors PPM,HPM --campaign-duration 15 --campaign-warmup 3 --out $O
+campaign --fault dvfs-delay --governors PPM,HL --campaign-duration 15 --campaign-warmup 3 --out $O
+campaign --fault migration-fail --governors PPM,HPM --campaign-duration 15 --campaign-warmup 3 --out $O
+checkpoint --fault heartbeat-loss --governors PPM,HL --workload m1 --campaign-duration 12 --campaign-warmup 2 --seed 5 --checkpoint-dir $O/ckpt_hb --out $O/x4
+resume --checkpoint-dir $O/ckpt_hb --out $O/x4
 """
 
 #: Hard wall-clock budget; a hung command exits 2 with thread stacks
@@ -58,7 +64,7 @@ WALL_BUDGET_S = 900.0
 def main(out: str) -> int:
     out = os.path.abspath(out)
     stdout_dir = os.path.join(out, "stdout")
-    for name in ("stdout", "x1", "x2", "x3"):
+    for name in ("stdout", "x1", "x2", "x3", "x4"):
         os.makedirs(os.path.join(out, name), exist_ok=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

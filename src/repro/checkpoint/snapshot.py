@@ -374,9 +374,8 @@ def snapshot_simulation(sim, tick_history: bool = True) -> Dict[str, Any]:
         "sensor": _snapshot_sensor(sim),
         "governor": _snapshot_governor(sim),
     }
-    injector = getattr(sim, "fault_injector", None)
-    if injector is not None:
-        payload["fault_injector"] = injector.snapshot_state()
+    if sim.fault_injector is not None:
+        payload["fault_injector"] = sim.fault_injector.snapshot_state()
     if sim.thermal is not None:
         payload["thermal"] = _snapshot_thermal(sim)
     if getattr(sim, "estimation", None) is not None:
@@ -603,7 +602,7 @@ def restore_simulation(sim, payload: Dict[str, Any]) -> None:
             "checkpoint was taken without it; rebuild with estimation=None"
         )
     injector_state = payload.get("fault_injector")
-    injector = getattr(sim, "fault_injector", None)
+    injector = sim.fault_injector
     if injector_state is not None:
         if injector is None:
             raise SnapshotRestoreError(

@@ -93,6 +93,10 @@ class PPMGovernor:
         self._last_move_time: Dict[str, float] = {}
         self.last_round: Optional[RoundResult] = None
         self.moves_executed = 0
+        #: Optional :class:`~repro.core.telemetry.MarketRecorder`, shown the
+        #: market after every bid period that ran a round; set by its
+        #: constructor.
+        self.recorder = None
         #: Future-work path: learned demands instead of off-line profiles.
         self.online_estimator: Optional[OnlineDemandEstimator] = (
             OnlineDemandEstimator() if self.config.online_estimation else None
@@ -150,6 +154,13 @@ class PPMGovernor:
     def on_tick(self, sim: Simulation) -> None:
         if sim.now + 1e-9 < self._next_bid_time:
             return
+        rounds_run = self.market.rounds_run
+        self._bid_period(sim)
+        if self.recorder is not None and self.market.rounds_run > rounds_run:
+            self.recorder.snapshot(sim.now)
+
+    def _bid_period(self, sim: Simulation) -> None:
+        """One bid period: a market round, then resilience and LBT."""
         self._next_bid_time = sim.now + self.config.bid_period_s
         self._sync_tasks(sim)
         if self.watchdog is not None and self.watchdog.in_safe_mode:

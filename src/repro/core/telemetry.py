@@ -2,8 +2,9 @@
 
 The paper's figures about the market's internals (Table 3's allowance
 trajectory, Figure 8's savings) need the economy observed over time.
-A :class:`MarketRecorder` wraps a :class:`~repro.core.framework.
-PPMGovernor` and snapshots the market after every bid round.
+A :class:`MarketRecorder` attaches to a :class:`~repro.core.framework.
+PPMGovernor`, which shows it the market at the end of every bid period
+that ran a round.
 """
 
 from __future__ import annotations
@@ -47,19 +48,15 @@ class MarketRecorder:
     def __init__(self, governor: PPMGovernor, capacity: int = 200_000):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        if governor.recorder is not None:
+            raise RuntimeError("a market recorder is already attached to this governor")
         self.snapshots: Deque[MarketSnapshot] = deque(maxlen=capacity)
         self.dropped = 0
         self._governor = governor
-        self._original_on_tick = governor.on_tick
-        governor.on_tick = self._on_tick  # type: ignore[method-assign]
+        governor.recorder = self
 
-    def _on_tick(self, sim) -> None:
-        rounds_before = self._governor.market.rounds_run
-        self._original_on_tick(sim)
-        if self._governor.market.rounds_run > rounds_before:
-            self._snapshot(sim.now)
-
-    def _snapshot(self, time_s: float) -> None:
+    def snapshot(self, time_s: float) -> None:
+        """Record the market as it stands at ``time_s``."""
         market = self._governor.market
         result = self._governor.last_round
         snapshot = MarketSnapshot(

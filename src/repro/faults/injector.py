@@ -1,11 +1,13 @@
-"""The fault injector: interposes a schedule on the engine's narrow seams.
+"""The fault injector: plays a schedule into the engine's narrow seams.
 
-Attaching a :class:`FaultInjector` to a simulation wraps exactly the
-interfaces governors already go through -- the power sensor, the DVFS and
-migration control surface, the per-task heartbeat monitors -- so every
-governor runs under faults *without code changes*, mirroring how the real
-failures live below the policy layer (hwmon, cpufreq, sched_setaffinity,
-CPU hotplug).
+Attaching a :class:`FaultInjector` to a simulation puts faulty front ends
+on its sensors and counter emitter, and registers the injector as
+``sim.fault_injector``, which the engine consults at its seams: the top
+of every tick (delayed DVFS, hotplug, thermal, drift and heartbeat-loss
+windows), every DVFS write and every migration.  Those are exactly the
+interfaces governors already go through, so every governor runs under
+faults *without code changes*, mirroring how the real failures live below
+the policy layer (hwmon, cpufreq, sched_setaffinity, CPU hotplug, HRM).
 
 The injector is deliberately mechanical: all stochastic choice lives in
 the schedule (see :mod:`repro.faults.events`), so a given schedule replays
@@ -14,7 +16,7 @@ identically against any governor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..hw.sensors import (
     PowerSensor,
@@ -25,6 +27,7 @@ from ..hw.sensors import (
 )
 from ..hw.counters import COUNTER_NAMES, CounterSample
 from ..hw.topology import Cluster
+from ..tasks.task import Task
 from .events import COUNTER_FAULTS, THERMAL_FAULTS, FaultKind, FaultSchedule
 
 
@@ -313,7 +316,9 @@ class FaultInjector:
         sim.run(60.0)
         print(injector.stats())
 
-    Attach exactly once, before the first tick.
+    Attach exactly once, before the first tick.  ``Simulation.step``
+    calls :meth:`before_tick` first; ``request_level`` asks
+    :meth:`intercepts_dvfs` and ``migrate`` asks :meth:`refuses_migration`.
     """
 
     def __init__(self, sim, schedule: FaultSchedule):
@@ -324,7 +329,8 @@ class FaultInjector:
         self._pending_dvfs: List[Tuple[int, Cluster, int]] = []
         #: Hotplug events currently applied (index into schedule order).
         self._unplugged: Dict[int, str] = {}
-        self._beats_seen: Dict[str, float] = {}
+        #: Tasks whose heartbeats the engine withholds for this injector.
+        self._withheld: Set[Task] = set()
         self.dvfs_dropped = 0
         self.dvfs_delayed = 0
         self.migrations_failed = 0
@@ -344,13 +350,16 @@ class FaultInjector:
         self._has_power_drift = any(
             e.kind is FaultKind.POWER_MODEL_DRIFT for e in schedule
         )
+        self._has_heartbeat_loss = bool(schedule.of_kind(FaultKind.HEARTBEAT_LOSS))
 
     # ------------------------------------------------------------------
     def attach(self) -> "FaultInjector":
         if self._attached:
             raise RuntimeError("fault injector already attached")
-        self._attached = True
         sim = self.sim
+        if sim.fault_injector is not None:
+            raise RuntimeError("a fault injector is already attached to this simulation")
+        self._attached = True
         thermal_kinds = sorted(
             {e.kind.value for e in self.schedule if e.kind in THERMAL_FAULTS}
         )
@@ -383,47 +392,37 @@ class FaultInjector:
             sim.estimation.emitter = FaultyCounters(
                 sim.estimation.emitter, self.schedule, lambda: sim.now, core_cluster
             )
-        self._wrap_dvfs(sim)
-        self._wrap_migrate(sim)
-        self._wrap_heartbeats(sim)
-        self._wrap_step(sim)
         sim.fault_injector = self
         return self
+
+    def before_tick(self) -> None:
+        """Apply the windows of the tick about to run (``step`` calls it first)."""
+        self._pump_delayed_dvfs()
+        self._apply_hotplug()
+        self._apply_thermal()
+        self._apply_power_drift()
+        self._apply_heartbeat_loss()
 
     # ------------------------------------------------------------------
     # DVFS: dropped and delayed actuations
     # ------------------------------------------------------------------
-    def _wrap_dvfs(self, sim) -> None:
-        original_request = sim.request_level
+    def intercepts_dvfs(self, cluster: Cluster, index: int) -> bool:
+        """Whether a DVFS write is dropped or delayed (``request_level`` asks).
 
-        def request_level(cluster: Cluster, index: int) -> bool:
-            drop = self.schedule.active(
-                sim.now, FaultKind.DVFS_DROP, cluster.cluster_id
-            )
-            if drop is not None:
-                # The write "succeeds" but the regulator never sees it.
-                self.dvfs_dropped += 1
-                return True
-            delay = self.schedule.active(
-                sim.now, FaultKind.DVFS_DELAY, cluster.cluster_id
-            )
-            if delay is not None:
-                self.dvfs_delayed += 1
-                self._pending_dvfs.append(
-                    (sim.tick_index + delay.delay_ticks, cluster, index)
-                )
-                return True
-            return original_request(cluster, index)
-
-        def step_level(cluster: Cluster, delta: int) -> bool:
-            index = cluster.vf_table.clamp_index(
-                cluster.regulator.target_index + delta
-            )
-            return request_level(cluster, index)
-
-        sim.request_level = request_level
-        sim.step_level = step_level
-        self._deliver_dvfs = original_request
+        A dropped write "succeeds" but the regulator never sees it.  A
+        delayed one reaches :meth:`Simulation.set_level` ``delay_ticks``
+        ticks later, at the top of that tick.
+        """
+        sim = self.sim
+        if self.schedule.active(sim.now, FaultKind.DVFS_DROP, cluster.cluster_id) is not None:
+            self.dvfs_dropped += 1
+            return True
+        delay = self.schedule.active(sim.now, FaultKind.DVFS_DELAY, cluster.cluster_id)
+        if delay is None:
+            return False
+        self.dvfs_delayed += 1
+        self._pending_dvfs.append((sim.tick_index + delay.delay_ticks, cluster, index))
+        return True
 
     def _pump_delayed_dvfs(self) -> None:
         sim = self.sim
@@ -434,55 +433,56 @@ class FaultInjector:
             entry for entry in self._pending_dvfs if entry[0] > sim.tick_index
         ]
         for _, cluster, index in due:
-            self._deliver_dvfs(cluster, index)
+            sim.set_level(cluster, index)
 
     # ------------------------------------------------------------------
     # Migrations
     # ------------------------------------------------------------------
-    def _wrap_migrate(self, sim) -> None:
-        original_migrate = sim.migrate
-
-        def migrate(task, destination):
-            fault = self.schedule.active(
-                sim.now, FaultKind.MIGRATION_FAIL, task.name
-            )
-            if fault is not None:
-                self.migrations_failed += 1
-                return sim.failed_migration_record(task, destination)
-            return original_migrate(task, destination)
-
-        sim.migrate = migrate
+    def refuses_migration(self, task: Task) -> bool:
+        """Whether a migration of ``task`` fails (``migrate`` asks)."""
+        if self.schedule.active(self.sim.now, FaultKind.MIGRATION_FAIL, task.name) is None:
+            return False
+        self.migrations_failed += 1
+        return True
 
     # ------------------------------------------------------------------
     # Heartbeats
     # ------------------------------------------------------------------
-    def _wrap_heartbeats(self, sim) -> None:
-        if not self.schedule.of_kind(FaultKind.HEARTBEAT_LOSS):
+    def _beats_seen(self, task: Task) -> float:
+        """The cumulative beat count ``task``'s heart-rate monitor last saw."""
+        samples = task.hrm._samples  # the monitor state checkpoints carry
+        if samples:
+            return samples[-1][1]
+        self.sim.sync()  # nothing recorded yet: the task's own counter
+        return task.total_beats
+
+    def _apply_heartbeat_loss(self) -> None:
+        """Withhold the heartbeats of every task a window covers.
+
+        Every task in ``sim.tasks`` is matched each tick, so arrivals and
+        tasks re-materialised on resume are covered too.  A task entering
+        a window is held at the count its monitor last saw, and released
+        when no window covers it: the observed rate collapses while real
+        work continues.
+        """
+        if not self._has_heartbeat_loss:
             return
-        # The wrapper seeds its replay state from task.total_beats:
-        # observation barrier first (no-op on the reference engine).
-        sim.sync()
+        sim = self.sim
+        now = sim.now
+        withheld = self._withheld
+        if not withheld and self.schedule.active(now, FaultKind.HEARTBEAT_LOSS) is None:
+            return
         for task in sim.tasks:
-            self._wrap_task_heartbeats(task)
-
-    def _wrap_task_heartbeats(self, task) -> None:
-        original_record = task.hrm.record
-        self._beats_seen[task.name] = task.total_beats
-
-        def record(t: float, total_beats: float) -> None:
-            fault = self.schedule.active(
-                self.sim.now, FaultKind.HEARTBEAT_LOSS, task.name
-            )
-            if fault is not None:
-                # Beats emitted in the window never reach the monitor;
-                # the observed rate collapses while real work continues.
-                self.heartbeats_lost += 1
-                original_record(t, self._beats_seen[task.name])
-                return
-            self._beats_seen[task.name] = total_beats
-            original_record(t, total_beats)
-
-        task.hrm.record = record
+            if self.schedule.active(now, FaultKind.HEARTBEAT_LOSS, task.name) is None:
+                if task in withheld:
+                    withheld.discard(task)
+                    sim.withhold_heartbeats(task, None)
+                continue
+            if task not in withheld:
+                withheld.add(task)
+                sim.withhold_heartbeats(task, self._beats_seen(task))
+            if task.is_active(now):
+                self.heartbeats_lost += 1  # this tick's sample is held back
 
     # ------------------------------------------------------------------
     # Hotplug + per-tick pump
@@ -561,18 +561,6 @@ class FaultInjector:
                 cluster.drift_factor = 1.0 + drift.magnitude * progress
                 self.drift_ticks += 1
 
-    def _wrap_step(self, sim) -> None:
-        original_step = sim.step
-
-        def step() -> None:
-            self._pump_delayed_dvfs()
-            self._apply_hotplug()
-            self._apply_thermal()
-            self._apply_power_drift()
-            original_step()
-
-        sim.step = step
-
     # ------------------------------------------------------------------
     # Snapshot/restore (checkpointing)
     # ------------------------------------------------------------------
@@ -587,8 +575,10 @@ class FaultInjector:
                 [index, cluster_id] for index, cluster_id in self._unplugged.items()
             ],
             "beats_seen": [
-                [name, beats] for name, beats in self._beats_seen.items()
-            ],
+                [task.name, self._beats_seen(task)] for task in self.sim.tasks
+            ]
+            if self._has_heartbeat_loss
+            else [],
             "dvfs_dropped": self.dvfs_dropped,
             "dvfs_delayed": self.dvfs_delayed,
             "migrations_failed": self.migrations_failed,
@@ -609,7 +599,8 @@ class FaultInjector:
         self._unplugged = {
             int(index): cluster_id for index, cluster_id in state["unplugged"]
         }
-        self._beats_seen = {name: beats for name, beats in state["beats_seen"]}
+        # ``beats_seen`` needs no restore: the restored monitors hold those
+        # counts, and the next before_tick withholds covered tasks at them.
         self.dvfs_dropped = state["dvfs_dropped"]
         self.dvfs_delayed = state["dvfs_delayed"]
         self.migrations_failed = state["migrations_failed"]

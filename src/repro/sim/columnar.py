@@ -39,12 +39,6 @@ and ``tests/sim/test_sync_barrier.py``):
   placement mapping changes (:attr:`Placement.version`), the task set is
   invalidated, or ``dt`` changes.  Rebuilds re-seed the columns from the
   object view, so a barrier always precedes them.
-
-Tasks whose ``hrm`` has been instrumented (e.g. the fault injector's
-heartbeat-withholding wrapper) keep their scalar monitor and are advanced
-through the ordinary per-object calls; everything else is adopted into a
-shared ring buffer (:class:`_HRMRings`) with :class:`ColumnarHRM` views
-preserving the ``HeartRateMonitor`` API.
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..tasks.heartbeats import HeartRateMonitor
 from ..tasks.phases import ConstantPhase, SinusoidalPhases, SquareWavePhases
 from ..tasks.task import Task
 from .engine import Simulation
@@ -122,8 +115,7 @@ _POISONS = tuple(
 class _HRMRings:
     """Ring buffers holding the adopted tasks' heart-rate samples.
 
-    One row per store row (rows that keep a scalar monitor simply leave
-    their ring row unused).  Semantics mirror ``HeartRateMonitor``'s
+    One row per store row.  Semantics mirror ``HeartRateMonitor``'s
     deque exactly: append the cumulative beat count, then pop from the
     left while the *second* sample is at/before the window horizon.
     """
@@ -145,7 +137,7 @@ class _HRMRings:
         self.b = np.zeros((n, cap))
         self.head = np.zeros(n, dtype=np.intp)
         self.count = np.zeros(n, dtype=np.intp)
-        self._rows = np.arange(n, dtype=np.intp)
+        self.rows = np.arange(n, dtype=np.intp)
         #: Mutation counter; heart-rate caches key off it.
         self.stamp = 0
         for i, s in enumerate(samples):
@@ -174,7 +166,7 @@ class _HRMRings:
         Equivalent to materialising every ``col_src`` row via
         ``samples_of`` and running ``__init__``, but the sample transfer
         is one array gather per source ring instead of a per-task deque
-        round-trip.  ``samples`` carries the scalar-monitor rows only;
+        round-trip.  ``samples`` carries the rows of plain monitors only;
         rows named in ``col_src`` keep their placeholder ``windows``
         entry (overwritten from the source ring) and must have an empty
         ``samples`` entry.
@@ -216,7 +208,7 @@ class _HRMRings:
         self.b = np.zeros((n, cap))
         self.head = np.zeros(n, dtype=np.intp)
         self.count = np.zeros(n, dtype=np.intp)
-        self._rows = np.arange(n, dtype=np.intp)
+        self.rows = np.arange(n, dtype=np.intp)
         self.stamp = 0
         for i, s in enumerate(samples):
             k = len(s)
@@ -402,7 +394,7 @@ class _HRMRings:
             if t1 <= t0:
                 return np.zeros(self.n)
             return (self.b[:, last] - self.b[:, h]) / (t1 - t0)
-        rows = self._rows
+        rows = self.rows
         last = (self.head + self.count - 1) % self.cap
         t0 = self.t[rows, self.head]
         t1 = self.t[rows, last]
@@ -423,6 +415,12 @@ class _HRMRings:
         if t1 <= t0:
             return 0.0
         return float((self.b[i, last] - self.b[i, h]) / (t1 - t0))
+
+    def withhold_last_one(self, i: int, total_beats: float) -> None:
+        """``HeartRateMonitor.withhold_last`` against ring row ``i``."""
+        h, c = (self.uhead, self.ucount) if self.uniform else (self.head[i], self.count[i])
+        self.b[i, (h + c - 1) % self.cap] = total_beats
+        self.stamp += 1
 
     def reset_one(self, i: int) -> None:
         self._demote()
@@ -470,6 +468,9 @@ class ColumnarHRM:
 
     def record(self, t: float, total_beats: float) -> None:
         self._rings.append_one(self._row, t, total_beats)
+
+    def withhold_last(self, total_beats: float) -> None:
+        self._rings.withhold_last_one(self._row, total_beats)
 
     def heart_rate(self) -> float:
         return self._rings.rate_one(self._row)
@@ -524,9 +525,6 @@ class _Epoch:
         "load",
         "has_load",
         "rings",
-        "vec_rows",
-        "py_rows",
-        "py_set",
         "ph_const_rows",
         "ph_const_vals",
         "ph_sin_rows",
@@ -562,7 +560,6 @@ class _Epoch:
         "core_counts",
         "cost_const",
         "dem_const",
-        "all_vec",
         "all_has_load",
         "g_key",
         "g_sup_core",
@@ -915,8 +912,6 @@ class ColumnarSimulation(Simulation):
         if self._hr_cache is not None and self._hr_stamp == rings.stamp:
             return self._hr_cache
         hr = rings.rate_all()
-        for i in ep.py_rows:
-            hr[i] = ep.tasks[i].hrm.heart_rate()
         self._hr_cache = hr
         self._hr_stamp = rings.stamp
         return hr
@@ -934,8 +929,7 @@ class ColumnarSimulation(Simulation):
             return None
         cache = self._gather_cache
         if cache is not None and cache[0] is tasks and cache[1] is ep:
-            rows = cache[2]
-            ridx = cache[3]
+            ridx = cache[2]
         else:
             rowmap = ep.rowmap
             rows = []
@@ -945,16 +939,8 @@ class ColumnarSimulation(Simulation):
                     return None
                 rows.append(r)
             ridx = np.asarray(rows, dtype=np.intp)
-            self._gather_cache = (tasks, ep, rows, ridx)
-        hr = self._heart_rates()[ridx]
-        if ep.py_rows:
-            # Scalar-route monitors can mutate without bumping the ring
-            # stamp (e.g. an injector wrapper): always read them live.
-            py_set = ep.py_set
-            for k, r in enumerate(rows):
-                if r in py_set:
-                    hr[k] = ep.tasks[r].hrm.heart_rate()
-        return hr, ep.con[ridx], ep.sup[ridx]
+            self._gather_cache = (tasks, ep, ridx)
+        return self._heart_rates()[ridx], ep.con[ridx], ep.sup[ridx]
 
     def _metrics_arrays(self, tasks: Sequence[Task]):
         """Columnar tick sample for ``tasks``; None -> python fallback.
@@ -1307,31 +1293,21 @@ class ColumnarSimulation(Simulation):
         old: Optional[_Epoch] = None,
         inv: Optional["np.ndarray"] = None,
     ) -> _Epoch:
-        # Heart-rate monitors: adopt plain, uninstrumented monitors (and
-        # re-adopt views from a previous epoch) into shared rings; tasks
-        # with wrapped/subclassed monitors keep the scalar route so
-        # injected heartbeat faults keep working.  Views re-adopt via a
-        # ring-to-ring array gather; scalar monitors round-trip through
+        # Heart-rate monitors: adopt plain monitors (and re-adopt views
+        # from a previous epoch) into shared rings.  Views re-adopt via a
+        # ring-to-ring array gather; plain monitors round-trip through
         # their sample deques.
         windows: List[float] = [1.0] * n
         samples: List[Sequence[Tuple[float, float]]] = [()] * n
-        vec_rows: List[int] = []
-        py_rows: List[int] = []
         col_src: List[Tuple[int, _HRMRings, int]] = []
         for i, t in enumerate(tasks):
             hrm = t.hrm
-            tp = type(hrm)
-            plain = "record" not in hrm.__dict__
-            if tp is HeartRateMonitor and plain:
-                vec_rows.append(i)
-                windows[i] = hrm._window_s
-                samples[i] = tuple(hrm._samples)
-            elif tp is ColumnarHRM and plain:
-                vec_rows.append(i)
+            if type(hrm) is ColumnarHRM:
                 # window comes from the source ring, gathered in adopt()
                 col_src.append((i, hrm._rings, hrm._row))
             else:
-                py_rows.append(i)
+                windows[i] = hrm.window_s
+                samples[i] = tuple(hrm._samples)
         steal = False
         if col_src:
             # Identity steal: a pure placement change keeps the task list
@@ -1354,15 +1330,11 @@ class ColumnarSimulation(Simulation):
                 ep.rings = _HRMRings.adopt(windows, samples, col_src, dt)
         else:
             ep.rings = _HRMRings(windows, samples, dt)
-        ep.vec_rows = np.asarray(vec_rows, dtype=np.intp)
-        ep.py_rows = py_rows
-        ep.py_set = set(py_rows)
-        ep.all_vec = not py_rows and len(vec_rows) == n
         if not steal:
             # Stolen rings leave every task's existing view valid (same
             # rings object, same row); fresh rings need rebinding.
-            for i in vec_rows:
-                tasks[i].hrm = ColumnarHRM(ep.rings, i)
+            for i, t in enumerate(tasks):
+                t.hrm = ColumnarHRM(ep.rings, i)
 
         # Metrics permutation: store rows in population order, usable
         # whenever the tick's active list is the population itself.
@@ -1552,21 +1524,10 @@ class ColumnarSimulation(Simulation):
             (tasks[i], v) for i, v in zip(order, loads[order].tolist())
         )
 
-        # Heartbeats: ring append for adopted rows, scalar record for the
-        # instrumented ones (both runnable and frozen record; inactive
-        # mapped tasks do not).
-        t_new = now + dt
-        if ep.vec_rows.size:
-            act_vec = ep.vec_rows[active[ep.vec_rows]]
-            ep.rings.append_many(act_vec, t_new, ep.beats[act_vec])
-        if ep.py_rows:
-            b = ep.beats
-            for i in ep.py_rows:
-                if active[i]:
-                    tasks[i].hrm.record(t_new, float(b[i]))
-            # Scalar-route mutations bypass the ring stamp; invalidate
-            # the heart-rate cache by hand.
-            ep.rings.stamp += 1
+        # Heartbeats: both runnable and frozen rows record; inactive
+        # mapped tasks do not.
+        act = np.nonzero(active)[0]
+        ep.rings.append_many(act, now + dt, ep.beats[act])
 
         # Write-through: the task attributes stay authoritative, so the
         # epoch is a pure cache and every out-of-band reader/mutator
@@ -1740,16 +1701,7 @@ class ColumnarSimulation(Simulation):
             # so write through now.
             self.load_tracker.update_many(zip(tasks, load.tolist()))
 
-        t_new = now + dt
-        if ep.all_vec:
-            ep.rings.append_many(ep.vec_rows, t_new, ep.beats)
-        elif ep.vec_rows.size:
-            ep.rings.append_many(ep.vec_rows, t_new, ep.beats[ep.vec_rows])
-        if ep.py_rows:
-            b = ep.beats
-            for i in ep.py_rows:
-                tasks[i].hrm.record(t_new, float(b[i]))
-            ep.rings.stamp += 1
+        ep.rings.append_many(ep.rings.rows, now + dt, ep.beats)
 
         # sup/con/dem are unchanged on cache-hit ticks, so only the
         # accumulating columns are marked for the barrier here.

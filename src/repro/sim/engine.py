@@ -205,6 +205,14 @@ class Simulation:
         #: at the top of every tick for open-ended task arrivals; ``None``
         #: keeps the task population fixed (the paper's setting).
         self.arrivals = None
+        #: Optional :class:`repro.faults.FaultInjector` (set by its
+        #: ``attach``): runs first in every tick, may veto DVFS and migrations.
+        self.fault_injector = None
+        #: Optional :class:`repro.sim.tracing.Tracer` (set by
+        #: ``attach_tracer``), told of each DVFS, migration and gate change.
+        self.tracer = None
+        #: Withheld tasks -> the beat count their monitors see instead.
+        self._withheld: Dict[Task, float] = {}
         #: Per-cluster V-F level ceilings (thermal throttling); requests
         #: above a ceiling are clamped to it, like hardware throttling.
         self._level_ceiling: Dict[str, int] = {}
@@ -325,15 +333,39 @@ class Simulation:
     def request_level(self, cluster: Cluster, index: int) -> bool:
         """Ask a cluster's regulator for V-F level ``index`` (cpufreq).
 
-        Requests above an active thermal ceiling are clamped to it, the
-        way hardware throttling silently caps cpufreq: every governor
-        (PPM, HPM, HL, ondemand, PID-driven) goes through this method, so
-        none of them can out-vote the thermal supervisor.
+        Every governor (PPM, HPM, HL, ondemand, PID-driven) goes through
+        this method.  A fault injector may drop or delay the write, which
+        still reports success, like an acknowledged cpufreq write that
+        never reaches the hardware; otherwise it goes to :meth:`set_level`.
+        """
+        injector = self.fault_injector
+        if injector is not None and injector.intercepts_dvfs(cluster, index):
+            return True
+        return self.set_level(cluster, index)
+
+    def set_level(self, cluster: Cluster, index: int) -> bool:
+        """Write V-F level ``index`` to the cluster's regulator.
+
+        The engine's only regulator write.  Levels above an active thermal
+        ceiling are clamped to it, the way hardware throttling silently
+        caps cpufreq, so no governor can out-vote the thermal supervisor.
+        Returns whether a transition started.
         """
         ceiling = self._level_ceiling.get(cluster.cluster_id)
         if ceiling is not None and index > ceiling:
             index = ceiling
-        return cluster.regulator.request(index)
+        started = cluster.regulator.request(index)
+        if started and self.tracer is not None:
+            regulator = cluster.regulator
+            self.tracer.record(
+                self.now,
+                "dvfs",
+                cluster.cluster_id,
+                from_index=regulator.level_index,
+                to_index=regulator.target_index,
+                to_mhz=cluster.vf_table[regulator.target_index].frequency_mhz,
+            )
+        return started
 
     def step_level(self, cluster: Cluster, delta: int) -> bool:
         index = cluster.vf_table.clamp_index(
@@ -347,14 +379,14 @@ class Simulation:
     def set_level_ceiling(self, cluster: Cluster, index: int) -> None:
         """Cap the cluster's V-F level at ``index``; forces down if above.
 
-        Actuates the regulator directly (not through the governor-facing
-        ``request_level`` seam), mirroring hardware thermal throttling
+        Writes through :meth:`set_level`, not the governor-facing
+        ``request_level`` seam, mirroring hardware thermal throttling
         which sits below a possibly-faulty cpufreq write path.
         """
         index = cluster.vf_table.clamp_index(index)
         self._level_ceiling[cluster.cluster_id] = index
         if cluster.regulator.target_index > index:
-            cluster.regulator.request(index)
+            self.set_level(cluster, index)
 
     def clear_level_ceiling(self, cluster: Cluster) -> None:
         self._level_ceiling.pop(cluster.cluster_id, None)
@@ -375,14 +407,29 @@ class Simulation:
     def migrate(self, task: Task, destination: Core) -> MigrationRecord:
         """Migrate a task, charging the measured cost.
 
-        A migration onto a hot-unplugged cluster fails without moving the
-        task (``record.failed`` is set), the way ``sched_setaffinity``
-        refuses an offlined CPU; governors observe the placement is
-        unchanged and retry or re-plan.
+        A migration the fault injector refuses, or one onto a
+        hot-unplugged cluster, fails without moving the task
+        (``record.failed`` is set), the way ``sched_setaffinity`` refuses
+        an offlined CPU; governors observe the placement is unchanged and
+        retry or re-plan.
         """
+        injector = self.fault_injector
+        if injector is not None and injector.refuses_migration(task):
+            return self.failed_migration_record(task, destination)
         if destination.cluster.cluster_id in self._offline:
             return self.failed_migration_record(task, destination)
-        return self.migrations.migrate(task, destination, now=self.now)
+        record = self.migrations.migrate(task, destination, now=self.now)
+        if self.tracer is not None:
+            self.tracer.record(
+                self.now,
+                "migration",
+                task.name,
+                source=record.source_core,
+                destination=record.destination_core,
+                inter_cluster=record.inter_cluster,
+                cost_s=record.cost_s,
+            )
+        return record
 
     def failed_migration_record(self, task: Task, destination: Core) -> MigrationRecord:
         """Account a migration that failed to move ``task`` (no cost)."""
@@ -402,6 +449,10 @@ class Simulation:
 
     def power_down(self, cluster: Cluster, hold: bool = False) -> None:
         """Gate a cluster off.  ``hold`` keeps it off even with tasks mapped."""
+        if self.tracer is not None and cluster.powered:
+            self.tracer.record(
+                self.now, "power_gate", cluster.cluster_id, powered=False, hold=hold
+            )
         cluster.power_down()
         if hold:
             self._gate_held_down.add(cluster.cluster_id)
@@ -410,6 +461,8 @@ class Simulation:
         if cluster.cluster_id in self._offline:
             return  # hot-unplugged hardware cannot be powered back up
         self._gate_held_down.discard(cluster.cluster_id)
+        if self.tracer is not None and not cluster.powered:
+            self.tracer.record(self.now, "power_gate", cluster.cluster_id, powered=True)
         cluster.power_up()
 
     # ------------------------------------------------------------------
@@ -437,6 +490,18 @@ class Simulation:
             return
         self._offline.discard(cluster.cluster_id)
         self._gate_held_down.discard(cluster.cluster_id)
+
+    def withhold_heartbeats(self, task: Task, count: Optional[float]) -> None:
+        """Show ``task``'s heart-rate monitor ``count`` beats from now on.
+
+        The task keeps running and counting beats; its monitor sees the
+        held count instead, the way lost HRM heartbeats look to a
+        governor.  ``None`` releases the task.
+        """
+        if count is None:
+            self._withheld.pop(task, None)
+        else:
+            self._withheld[task] = count
 
     @property
     def offline_clusters(self) -> FrozenSet[str]:
@@ -603,6 +668,17 @@ class Simulation:
                 if not placement.is_placed(task):
                     task.idle_tick(now, dt)
 
+    def _withhold_beats(self) -> None:
+        """Overwrite this tick's sample of every withheld task's monitor.
+
+        Runs right after dispatch, which recorded one sample for each
+        active task, so the newest sample is this tick's.
+        """
+        now = self.now
+        for task, count in self._withheld.items():
+            if task.is_active(now):
+                task.hrm.withhold_last(count)
+
     def _read_sensor(self) -> SensorSample:
         """Sample power, substituting the last good sample on read failure.
 
@@ -685,6 +761,8 @@ class Simulation:
 
     def step(self) -> None:
         """Advance the simulation by one tick."""
+        if self.fault_injector is not None:
+            self.fault_injector.before_tick()
         if not self._prepared:
             self._ensure_placed()
             self.governor.prepare(self)
@@ -700,6 +778,8 @@ class Simulation:
         self._apply_power_gating()
         self.chip.tick(self.config.dt)
         self._dispatch()
+        if self._withheld:
+            self._withhold_beats()
         thermal_temps = self._step_thermal()
         sample = self._read_sensor()
         estimated_w: Optional[float] = None

@@ -4,8 +4,10 @@ The kernel modules of the paper were debugged through ftrace-style event
 logs; the simulator offers the same visibility: a typed event stream of
 everything that changes system state (V-F transitions, migrations, power
 gating, chip power-state changes), queryable and exportable as JSON
-lines.  Tracing is opt-in -- attach a :class:`Tracer` to a simulation
-and it hooks the relevant notification points.
+lines.  Tracing is opt-in: :func:`attach_tracer` sets ``sim.tracer``, and
+the engine's control surface records each change as it takes effect, so
+a dropped or refused request leaves no event and a delayed DVFS write is
+recorded when it lands.
 """
 
 from __future__ import annotations
@@ -87,65 +89,15 @@ class Tracer:
 
 
 def attach_tracer(sim, tracer: Optional[Tracer] = None) -> Tracer:
-    """Instrument a :class:`~repro.sim.engine.Simulation` with a tracer.
+    """Trace a :class:`~repro.sim.engine.Simulation`'s state changes.
 
-    Wraps the simulation's mutation points (migration, DVFS requests,
-    power gating) so every state change emits an event; a migration that
-    failed (``record.failed``) moved nothing and emits none.  Returns the
-    tracer.  A simulation takes one tracer: attaching again raises
-    ``RuntimeError``.
+    Sets ``sim.tracer``: every DVFS transition the regulator starts, every
+    migration that moved its task and every power-gate change emits an
+    event.  Returns the tracer.  A simulation takes one tracer: attaching
+    again raises ``RuntimeError``.
     """
-    if getattr(sim, "tracer", None) is not None:
+    if sim.tracer is not None:
         raise RuntimeError("a tracer is already attached to this simulation")
-    tracer = tracer or Tracer()
-
-    original_migrate = sim.migrate
-
-    def traced_migrate(task, destination):
-        record = original_migrate(task, destination)
-        if not record.failed:
-            tracer.record(
-                sim.now,
-                "migration",
-                task.name,
-                source=record.source_core,
-                destination=record.destination_core,
-                inter_cluster=record.inter_cluster,
-                cost_s=record.cost_s,
-            )
-        return record
-
-    original_request = sim.request_level
-
-    def traced_request(cluster, index):
-        started = original_request(cluster, index)
-        if started:
-            tracer.record(
-                sim.now,
-                "dvfs",
-                cluster.cluster_id,
-                from_index=cluster.regulator.level_index,
-                to_index=cluster.regulator.target_index,
-                to_mhz=cluster.vf_table[cluster.regulator.target_index].frequency_mhz,
-            )
-        return started
-
-    original_down = sim.power_down
-    original_up = sim.power_up
-
-    def traced_down(cluster, hold=False):
-        if cluster.powered:
-            tracer.record(sim.now, "power_gate", cluster.cluster_id, powered=False, hold=hold)
-        return original_down(cluster, hold=hold)
-
-    def traced_up(cluster):
-        if not cluster.powered:
-            tracer.record(sim.now, "power_gate", cluster.cluster_id, powered=True)
-        return original_up(cluster)
-
-    sim.migrate = traced_migrate
-    sim.request_level = traced_request
-    sim.power_down = traced_down
-    sim.power_up = traced_up
-    sim.tracer = tracer
-    return tracer
+    # ``is None``, not ``or``: an empty Tracer is falsy (``__len__``).
+    sim.tracer = Tracer() if tracer is None else tracer
+    return sim.tracer

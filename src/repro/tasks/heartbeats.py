@@ -89,6 +89,10 @@ class HeartRateMonitor:
         while len(self._samples) >= 2 and self._samples[1][0] <= horizon:
             self._samples.popleft()
 
+    def withhold_last(self, total_beats: float) -> None:
+        """Replace the newest sample's beat count: its beats were lost."""
+        self._samples[-1] = (self._samples[-1][0], total_beats)
+
     def heart_rate(self) -> float:
         """Average heart rate (hb/s) over the trailing window."""
         if len(self._samples) < 2:

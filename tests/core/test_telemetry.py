@@ -30,6 +30,12 @@ class TestRecorder:
         assert snap.chip_state is ChipPowerState.NORMAL
         assert snap.total_supply > 0
 
+    def test_second_recorder_rejected(self):
+        governor = PPMGovernor()
+        MarketRecorder(governor)
+        with pytest.raises(RuntimeError):
+            MarketRecorder(governor)
+
     def test_aggregate_series(self):
         _, recorder = run_recorded(0.5)
         times, allowances = recorder.series("allowance")

@@ -9,12 +9,17 @@ import math
 
 import pytest
 
+from repro.core import AdmissionController, OverloadManager
+from repro.experiments.harness import make_governor
+from repro.experiments.overload import build_overload_arrivals
 from repro.faults import FaultInjector, FaultKind, single_fault
 from repro.governors import MaxFrequencyGovernor
 from repro.hw import tc2_chip
 from repro.hw.sensors import SensorReadError
 from repro.sim import SimConfig, Simulation
-from repro.tasks import build_workload, make_task
+from repro.sim.columnar import ColumnarSimulation
+from repro.sim.engine import ObjectSimulation
+from repro.tasks import ArrivalStream, build_workload, make_task
 
 
 def _sim(tasks, governor=None, **config):
@@ -160,6 +165,27 @@ class TestHeartbeatFaults:
         sim.run(1.5)  # window over: monitor sees fresh beats again
         assert task.observed_heart_rate() > 0.5 * rate_before
 
+    @pytest.mark.parametrize("admission", [False, True], ids=["baseline", "admission"])
+    @pytest.mark.parametrize("engine", [ObjectSimulation, ColumnarSimulation])
+    def test_window_covers_tasks_that_arrive(self, engine, admission):
+        chip = tc2_chip()
+        sim = engine(
+            chip,
+            build_workload("l1"),
+            make_governor("PPM", power_cap_w=10.0),
+            config=SimConfig(seed=3, metrics_warmup_s=3.0),
+        )
+        arrivals = ArrivalStream(build_overload_arrivals(chip, 20.0, 3.0), seed=3)
+        controller = AdmissionController() if admission else None
+        manager = OverloadManager(arrivals, controller).attach(sim)
+        FaultInjector(sim, single_fault(FaultKind.HEARTBEAT_LOSS, 8.0, 6.0)).attach()
+        sim.run(12.0)
+        live = [t for t in sim.tasks if t.is_active(sim.now) and t.start_time < 11.0]
+        assert any(t in manager.spawned_tasks for t in live)
+        assert [(t.name, t.observed_heart_rate()) for t in live] == [
+            (t.name, 0.0) for t in live
+        ]
+
 
 class TestHotplugFaults:
     def test_unplug_evicts_and_replug_restores(self):
@@ -224,6 +250,12 @@ class TestInjectorLifecycle:
         injector.attach()
         with pytest.raises(RuntimeError):
             injector.attach()
+
+    def test_second_injector_on_one_simulation_rejected(self):
+        sim = _sim([])
+        FaultInjector(sim, single_fault(FaultKind.DVFS_DROP, 0.0, 1.0)).attach()
+        with pytest.raises(RuntimeError):
+            FaultInjector(sim, single_fault(FaultKind.DVFS_DELAY, 0.0, 1.0)).attach()
 
     def test_stats_keys_cover_all_fault_kinds(self):
         sim = _sim([])

@@ -9,6 +9,8 @@ at any task count.  These tests hold the engine to that promise two ways:
 * six pinned golden scenarios -- the same configurations the determinism
   golden digests pin -- run under both engines and compared tick-by-tick,
   failing with the *first divergent tick* and the fields that differ;
+* one pinned scenario per fault the engine routes through its seams
+  (heartbeat loss, dropped and delayed DVFS writes, failed migrations);
 * hypothesis-generated configurations sweeping task mixes, governors,
   sensor noise, thermal tracking and estimated-power operation, so any
   columnar fast path that is only exercised under an odd combination
@@ -135,6 +137,33 @@ class TestGoldenScenarioEquivalence:
         _assert_equivalent(obj, col, label)
 
 
+# Faults the engine consults its injector for -- governor, workload, fault
+# kind, and the injector counter that proves the window fired.
+SEAM_SCENARIOS = [
+    ("PPM", ("named", "m1"), "heartbeat-loss", "heartbeats_lost"),
+    ("HPM", ("named", "m2"), "dvfs-drop", "dvfs_dropped"),
+    ("HPM", ("named", "m2"), "dvfs-delay", "dvfs_delayed"),
+    ("PPM", ("named", "m1"), "migration-fail", "migrations_failed"),
+]
+
+
+class TestFaultSeamEquivalence:
+    @pytest.mark.parametrize(
+        "governor,workload,fault,counter",
+        SEAM_SCENARIOS,
+        ids=[row[2] for row in SEAM_SCENARIOS],
+    )
+    def test_engines_agree_under_fault(self, governor, workload, fault, counter):
+        kw = dict(workload=workload, governor=governor, seed=5, noise_w=0.0,
+                  fault=fault, duration_s=6.0)
+        obj = _build(ObjectSimulation, **kw)
+        col = _build(ColumnarSimulation, **kw)
+        _assert_equivalent(obj, col, "%s/%s/fault=%s" % (governor, workload[1], fault))
+        stats = obj.fault_injector.stats()
+        assert stats[counter] > 0
+        assert col.fault_injector.stats() == stats
+
+
 class TestManyTasksEquivalence:
     """The perf-bench shape itself: random task mixes at several sizes."""
 
@@ -159,7 +188,10 @@ _CONFIGS = st.fixed_dictionaries({
     ),
     "seed": st.integers(min_value=0, max_value=2**31 - 1),
     "noise_w": st.sampled_from([0.0, 0.05]),
-    "fault": st.sampled_from([None, "sensor-dropout", "hotplug"]),
+    "fault": st.sampled_from([
+        None, "sensor-dropout", "hotplug", "heartbeat-loss", "dvfs-drop",
+        "dvfs-delay", "migration-fail",
+    ]),
     "thermal": st.sampled_from([None, "default"]),
     "estimation": st.sampled_from([None, "default"]),
     "duration_s": st.sampled_from([1.5, 2.0]),
