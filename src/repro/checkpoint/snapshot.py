@@ -108,6 +108,14 @@ def tick_record(sample: TickSample) -> Dict[str, Any]:
     Built field by field because ``asdict``'s recursive deep copy was most
     of a checkpoint's snapshot time.
 
+    Each entry of ``tasks`` holds the five :class:`TaskSample` fields:
+    ``heart_rate`` (the monitor's reading at the end of the tick),
+    ``below_min`` and ``outside_range`` (that reading against the task's
+    QoS range), ``granted_pus`` (``Task.last_supply_pus``) and
+    ``demand_pus``, which holds the PUs the task *consumed*
+    (``Task.last_consumed_pus``), not its demand; the key keeps its name
+    because every checkpoint, journal and golden digest carries it.
+
     ``cluster_temperature_c`` is omitted when it is ``None`` (thermal
     tracking off), so journals, snapshots and the pinned telemetry digests
     of thermal-free runs are byte-identical to those recorded before the

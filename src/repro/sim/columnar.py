@@ -19,7 +19,7 @@ and ``tests/sim/test_sync_barrier.py``):
   byte-identical to the object engine on any task count.
 * **Columns are authoritative; objects are a view.**  The per-task hot
   attributes (``total_beats``, ``total_work_pu_s``, ``last_supply_pus``,
-  ``last_consumed_pus``, ``last_demand_pus``) and the load-tracker dict
+  ``last_consumed_pus``) and the load-tracker dict
   are materialised from the arrays by the :meth:`ColumnarSimulation.sync`
   barrier, invoked by every observation hook site: governor decision
   paths that fall back to attribute reads, telemetry/metrics fallbacks,
@@ -107,7 +107,6 @@ _POISONS = tuple(
         "total_work_pu_s",
         "last_supply_pus",
         "last_consumed_pus",
-        "last_demand_pus",
     )
 )
 
@@ -521,7 +520,6 @@ class _Epoch:
         "work",
         "sup",
         "con",
-        "dem",
         "load",
         "has_load",
         "rings",
@@ -747,8 +745,8 @@ class ColumnarSimulation(Simulation):
         # callers reuse the same list while the market membership is
         # stable, so the rowmap walk happens once per (membership, epoch).
         self._gather_cache: Optional[tuple] = None
-        # (starts, ends, max_start, all_unbounded) for the vector
-        # active-task scan; rebuilt on invalidate_task_cache.
+        # (starts, ends) for the vector active-task scan; rebuilt on
+        # invalidate_task_cache.
         self._task_window: Optional[tuple] = None
         #: Debug check for tests: poison the hot view attributes between
         #: barriers so an unsynchronised read raises.  Read every tick;
@@ -758,7 +756,7 @@ class ColumnarSimulation(Simulation):
         self.sync_count: int = 0
         # Per-column dirty epochs: tick stamp of the last unflushed column
         # write vs. the stamp the object view was last materialised at.
-        cols = ("beats", "work", "sup", "con", "dem", "load")
+        cols = ("beats", "work", "sup", "con", "load")
         self._col_dirty: Dict[str, int] = {c: 0 for c in cols}
         self._col_synced: Dict[str, int] = {c: 0 for c in cols}
         self._view_dirty = False  # fast no-op check for sync()
@@ -809,14 +807,11 @@ class ColumnarSimulation(Simulation):
             if poisoned or dirty["sup"] > synced["sup"]:
                 sl = ep.sup.tolist()
                 cl = ep.con.tolist()
-                dl = ep.dem.tolist()
-                for t, ts, tc, td in zip(tasks, sl, cl, dl):
+                for t, ts, tc in zip(tasks, sl, cl):
                     t.last_supply_pus = ts
                     t.last_consumed_pus = tc
-                    t.last_demand_pus = td
                 synced["sup"] = dirty["sup"]
                 synced["con"] = dirty["con"]
-                synced["dem"] = dirty["dem"]
             if dirty["load"] > synced["load"]:
                 tracked = self.load_tracker._load
                 for t, v in zip(tasks, ep.load.tolist()):
@@ -848,51 +843,27 @@ class ColumnarSimulation(Simulation):
         super().set_weight(task, weight)
 
     # -- fast-path engine queries -------------------------------------------------
-    def _active_now(self) -> List[Task]:
-        if self._active_cache_now != self.now:
-            now = self.now
-            win = self._task_window
-            if win is None:
-                tasks = self.tasks
-                n = len(tasks)
-                starts = np.fromiter((t.start_time for t in tasks), dtype=float, count=n)
-                ends = np.fromiter(
-                    (
-                        t.start_time + t.duration if t.duration is not None else math.inf
-                        for t in tasks
-                    ),
-                    dtype=float,
-                    count=n,
-                )
-                max_start = float(starts.max()) if n else 0.0
-                all_unbounded = bool(np.isinf(ends).all())
-                win = self._task_window = (starts, ends, max_start, all_unbounded)
-            starts, ends, max_start, all_unbounded = win
-            if all_unbounded and now >= max_start:
-                # Every task started and none ever ends: the population
-                # itself is the active list (do not mutate).
-                self._active_cache = self.tasks
-            else:
-                mask = (now >= starts) & (now < ends)
-                if bool(mask.all()):
-                    self._active_cache = self.tasks
-                else:
-                    tasks = self.tasks
-                    self._active_cache = [tasks[i] for i in np.nonzero(mask)[0].tolist()]
-            self._active_cache_now = now
-        return self._active_cache
-
-    def _ensure_placed(self) -> None:
-        # Common tick: the whole population is active and placed, so no
-        # active task can be waiting for placement.  (Comparing against
-        # the *population* size, not the active count, keeps scenarios
-        # with pre-placed future tasks on the exact scan.)
-        if (
-            self.placement.placed_count() == len(self.tasks)
-            and self._active_now() is self.tasks
-        ):
-            return
-        super()._ensure_placed()
+    def _scan_active(self, now: float) -> List[Task]:
+        win = self._task_window
+        if win is None:
+            tasks = self.tasks
+            n = len(tasks)
+            starts = np.fromiter((t.start_time for t in tasks), dtype=float, count=n)
+            ends = np.fromiter(
+                (
+                    t.start_time + t.duration if t.duration is not None else math.inf
+                    for t in tasks
+                ),
+                dtype=float,
+                count=n,
+            )
+            win = self._task_window = (starts, ends)
+        starts, ends = win
+        mask = (now >= starts) & (now < ends)
+        if bool(mask.all()):
+            return self.tasks
+        tasks = self.tasks
+        return [tasks[i] for i in np.nonzero(mask)[0].tolist()]
 
     def _retire_inactive(self) -> None:
         if not self._any_finite_task:
@@ -1126,7 +1097,6 @@ class ColumnarSimulation(Simulation):
             ep.work = old.work[perm]
             ep.sup = old.sup[perm]
             ep.con = old.con[perm]
-            ep.dem = old.dem[perm]
         else:
             ep.beats = np.fromiter(
                 (t.total_beats for t in tasks), dtype=float, count=n
@@ -1139,9 +1109,6 @@ class ColumnarSimulation(Simulation):
             )
             ep.con = np.fromiter(
                 (t.last_consumed_pus for t in tasks), dtype=float, count=n
-            )
-            ep.dem = np.fromiter(
-                (t.last_demand_pus for t in tasks), dtype=float, count=n
             )
         tracked = self.load_tracker._load
         ep.load = np.fromiter((tracked.get(t, 0.0) for t in tasks), dtype=float, count=n)
@@ -1417,7 +1384,7 @@ class ColumnarSimulation(Simulation):
 
         # The masked path writes zeros into frozen/inactive rows of the
         # state columns; force the fast path to rebuild its consume cache
-        # (and re-write sup/con/dem) on the next hot tick.
+        # (and re-write sup/con) on the next hot tick.
         ep.g_key = None
 
         # Rare tick (arrival/retire/freeze window): write every attribute
@@ -1480,7 +1447,6 @@ class ColumnarSimulation(Simulation):
         np.add(ep.work, cons * dt, out=ep.work, where=runnable)
         np.copyto(ep.sup, grants, where=runnable)
         np.copyto(ep.con, cons, where=runnable)
-        np.copyto(ep.dem, demand, where=runnable)
         if bool(frozen.any()):
             np.copyto(ep.sup, 0.0, where=frozen)
             np.copyto(ep.con, 0.0, where=frozen)
@@ -1536,13 +1502,11 @@ class ColumnarSimulation(Simulation):
         wl = ep.work.tolist()
         sl = ep.sup.tolist()
         cl = ep.con.tolist()
-        dl = ep.dem.tolist()
-        for t, tb, tw, ts, tc, td in zip(tasks, bl, wl, sl, cl, dl):
+        for t, tb, tw, ts, tc in zip(tasks, bl, wl, sl, cl):
             t.total_beats = tb
             t.total_work_pu_s = tw
             t.last_supply_pus = ts
             t.last_consumed_pus = tc
-            t.last_demand_pus = td
 
         # Active tasks not mapped to any core idle in place (same scan
         # condition as the object engine).
@@ -1668,13 +1632,12 @@ class ColumnarSimulation(Simulation):
             ep.g_load_c = (1.0 - self.load_tracker.decay_for(dt)) * inst
             ep.sup[...] = grants
             ep.con[...] = cons
-            ep.dem[...] = demand
             # Stamp with tick_index + 1: tick_index is 0-based and the
             # synced stamps start at 0, so tick 0's writes must land
             # strictly above them.
             dirty = self._col_dirty
             ti = self.tick_index + 1
-            dirty["sup"] = dirty["con"] = dirty["dem"] = ti
+            dirty["sup"] = dirty["con"] = ti
             self._view_dirty = True
 
         # Time-varying tail: accumulate, fold, record.
@@ -1703,20 +1666,19 @@ class ColumnarSimulation(Simulation):
 
         ep.rings.append_many(ep.rings.rows, now + dt, ep.beats)
 
-        # sup/con/dem are unchanged on cache-hit ticks, so only the
+        # sup/con are unchanged on cache-hit ticks, so only the
         # accumulating columns are marked for the barrier here.
         dirty = self._col_dirty
         ti = self.tick_index + 1
         dirty["beats"] = dirty["work"] = ti
         self._view_dirty = True
         if self.poison and not self._poisoned:
-            pb, pw, ps, pc, pd = _POISONS
+            pb, pw, ps, pc = _POISONS
             for t in tasks:
                 t.total_beats = pb
                 t.total_work_pu_s = pw
                 t.last_supply_pus = ps
                 t.last_consumed_pus = pc
-                t.last_demand_pus = pd
             self._poisoned = True
 
         active_list = self._active_now()

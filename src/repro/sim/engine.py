@@ -186,9 +186,7 @@ class Simulation:
         # of ``active_tasks`` inside one tick shares a single scan.
         self._active_cache_now: Optional[float] = None
         self._active_cache: List[Task] = []
-        #: Whether any task can ever retire (finite duration); with only
-        #: unbounded tasks the per-tick retirement scan is skipped.
-        self._any_finite_task = any(t.duration is not None for t in self.tasks)
+        self._note_task_windows()
         self._gate_held_down: set = set()
         self._offline: set = set()
         self._last_sensor_sample: Optional[SensorSample] = None
@@ -273,12 +271,30 @@ class Simulation:
         return list(self._active_now())
 
     def _active_now(self) -> List[Task]:
-        """The cached active-task list for this tick (do not mutate)."""
+        """The cached active-task list for this tick (do not mutate).
+
+        Once every task has started and none can end, this is
+        ``self.tasks`` itself: callers test ``is self.tasks`` to skip
+        their per-task activity checks.
+        """
         if self._active_cache_now != self.now:
             now = self.now
-            self._active_cache = [t for t in self.tasks if t.is_active(now)]
+            if not self._any_finite_task and now >= self._last_start:
+                self._active_cache = self.tasks
+            else:
+                self._active_cache = self._scan_active(now)
             self._active_cache_now = now
         return self._active_cache
+
+    def _scan_active(self, now: float) -> List[Task]:
+        return [t for t in self.tasks if t.is_active(now)]
+
+    def _note_task_windows(self) -> None:
+        # Whether any task can ever retire (finite duration); with only
+        # unbounded tasks the per-tick retirement scan is skipped.
+        self._any_finite_task = any(t.duration is not None for t in self.tasks)
+        # From this time on, with no finite task, every task is active.
+        self._last_start = max((t.start_time for t in self.tasks), default=0.0)
 
     def invalidate_task_cache(self) -> None:
         """Drop per-tick task caches after out-of-band task mutation.
@@ -287,7 +303,7 @@ class Simulation:
         duration fields mid-run must call this so the engine re-scans.
         """
         self._active_cache_now = None
-        self._any_finite_task = any(t.duration is not None for t in self.tasks)
+        self._note_task_windows()
 
     def sync(self) -> None:
         """Materialise the object view of any column-resident hot state.
@@ -563,6 +579,13 @@ class Simulation:
             )
 
     def _ensure_placed(self) -> None:
+        # Common tick: the whole population is active and placed, so no
+        # active task can be waiting for placement.
+        if (
+            self.placement.placed_count() == len(self.tasks)
+            and self._active_now() is self.tasks
+        ):
+            return
         # Per-batch load memo: placing N tasks at one instant costs O(N)
         # demand evaluations instead of O(N^2) (see least_loaded_core).
         cache: Dict[str, float] = {}
@@ -612,15 +635,30 @@ class Simulation:
                 self.power_down(cluster)
 
     def _dispatch(self) -> None:
+        """Grant each core's supply to its tasks and run them one tick.
+
+        One pass per core.  Each runnable task's step is ``Task.consume``
+        followed by ``LoadTracker.update``, inlined with the same float
+        expressions in the same order (``tests/sim/test_dispatch_reference.py``
+        holds the two to bit equality); each ``min`` is written as the
+        comparison that returns the same operand.  Frozen and unplaced
+        tasks take the method calls.
+        """
         dt = self.config.dt
         now = self.now
+        beat_time = now + dt
         allocations = self._allocations
         weights = self._weights
         tracker = self.load_tracker
+        loads = tracker._load
+        decay = tracker.decay_for(dt)
+        fresh = 1.0 - decay
         placement = self.placement
+        all_active = self._active_now() is self.tasks
         inactive_mapped = False
         for cluster in self.chip.clusters:
             core_type = cluster.core_type
+            supply = cluster.supply_pus  # every core's Core.supply_pus
             for core in cluster.cores:
                 mapped = placement.iter_tasks_on_core(core)
                 if not mapped:
@@ -631,30 +669,53 @@ class Simulation:
                 runnable = mapped
                 frozen: List[Task] = ()
                 for t in mapped:
-                    if not t.is_active(now) or t.frozen_until > now:
+                    if t.frozen_until > now or not (all_active or t.is_active(now)):
                         active_mapped = [t for t in mapped if t.is_active(now)]
                         if len(active_mapped) != len(mapped):
                             inactive_mapped = True
                         runnable = [t for t in active_mapped if t.frozen_until <= now]
                         frozen = [t for t in active_mapped if t.frozen_until > now]
                         break
-                grants = compute_grants(
-                    core.supply_pus, runnable, allocations, weights
-                )
+                grants = compute_grants(supply, runnable, allocations, weights)
                 consumed_total = 0.0
                 for task in runnable:
                     granted = grants.get(task, 0.0)
-                    consumed_total += task.consume(granted, core_type, now, dt)
-                    # ``consume`` just computed the task's true demand;
-                    # reuse it instead of re-evaluating the phase trace.
-                    tracker.update(task, granted, task.last_demand_pus, dt)
+                    profile = task.profile
+                    local = now - task.start_time
+                    cost = profile.cost_pu_s_per_beat(
+                        core_type,
+                        profile.phases.multiplier_at(local if local > 0.0 else 0.0),
+                    )
+                    demand = profile.hr_range.target_hr * cost
+                    consumed = granted
+                    limit = profile.work_limit_factor
+                    if limit is not None:
+                        cap = limit * demand
+                        if cap < consumed:
+                            consumed = cap
+                    work = consumed * dt
+                    task.total_beats += work / cost
+                    task.total_work_pu_s += work
+                    task.last_supply_pus = granted
+                    task.last_consumed_pus = consumed
+                    task.hrm.record(beat_time, task.total_beats)
+                    consumed_total += consumed
+                    if demand <= 0.0:
+                        fraction = 0.0
+                    elif granted <= 0.0:
+                        fraction = 1.0
+                    else:
+                        fraction = demand / granted
+                        fraction = fraction if fraction < 1.0 else 1.0
+                    loads[task] = decay * loads.get(task, fraction) + fresh * fraction
                 for task in frozen:
                     task.idle_tick(now, dt)
                     tracker.update(
                         task, 0.0, task.true_demand_pus(core_type, now), dt
                     )
-                if core.supply_pus > 0.0:
-                    core.utilization = min(1.0, consumed_total / core.supply_pus)
+                if supply > 0.0:
+                    utilization = consumed_total / supply
+                    core.utilization = utilization if utilization < 1.0 else 1.0
                 else:
                     core.utilization = 0.0
         # Active tasks not mapped to any core (all clusters offline, or

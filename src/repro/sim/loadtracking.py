@@ -68,8 +68,8 @@ class LoadTracker:
     def decay_for(self, dt: float) -> float:
         """The cached decay factor for ``dt`` (same expression as update).
 
-        Exposed so the columnar engine's vectorized EWMA folds with the
-        exact float the scalar path uses.
+        Exposed so the engine's fused dispatch pass and the columnar
+        engine's vectorized EWMA fold with the exact float ``update`` uses.
         """
         if dt <= 0:
             raise ValueError("dt must be positive")

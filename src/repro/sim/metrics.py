@@ -25,7 +25,23 @@ from ..tasks.task import Task
 
 @dataclass
 class TaskSample:
-    """Per-task observation for one tick."""
+    """Per-task observation for one tick.
+
+    Attributes:
+        heart_rate: The task's heart-rate monitor reading at the end of
+            the tick (hb/s over its trailing window, after dispatch and
+            any withheld heartbeats).
+        below_min: ``heart_rate`` misses the QoS floor
+            (:meth:`HeartRateRange.below`, the paper's miss test).
+        outside_range: ``heart_rate`` lies outside ``[min_hr, max_hr]``
+            (not :meth:`HeartRateRange.contains`).
+        granted_pus: PUs granted this tick (``Task.last_supply_pus``).
+        demand_pus: PUs *consumed* this tick (``Task.last_consumed_pus``):
+            the grant, capped at ``work_limit_factor`` times the task's
+            demand; zero while frozen or unplaced.  Despite its name it is
+            not the demand.  The name stays because checkpoints, replay
+            journals and the golden telemetry digests carry it.
+    """
 
     heart_rate: float
     below_min: bool
@@ -180,8 +196,8 @@ class MetricsCollector:
         """Record one tick's state for the given active tasks."""
         task_samples: Dict[str, TaskSample] = {}
         for task in tasks:
-            hr = task.observed_heart_rate()
-            rng = task.hr_range
+            hr = task.hrm.heart_rate()
+            rng = task.profile.hr_range
             # Inlined HeartRateRange.below/contains (same expressions) --
             # this runs once per task per tick.
             lo = rng.min_hr * (1.0 - rng._REL_EPS)

@@ -57,10 +57,6 @@ class Task:
         #: PUs actually consumed in the most recent tick (<= granted when
         #: the task is input-bound).
         self.last_consumed_pus: float = 0.0
-        #: True demand computed by the most recent :meth:`consume` call;
-        #: lets the dispatcher reuse it without re-evaluating the phase
-        #: trace (identical float expression to :meth:`true_demand_pus`).
-        self.last_demand_pus: float = 0.0
         #: Simulation time until which the task is frozen by an in-flight
         #: migration (receives no supply).
         self.frozen_until: float = 0.0
@@ -120,7 +116,6 @@ class Task:
             raise ValueError("granted supply must be >= 0 and dt > 0")
         cost = self.cost_pu_s_per_beat(core_type, t)
         demand = self.target_hr * cost
-        self.last_demand_pus = demand
         consumable = granted_pus
         limit = self.profile.work_limit_factor
         if limit is not None:

@@ -11,6 +11,10 @@ at any task count.  These tests hold the engine to that promise two ways:
   failing with the *first divergent tick* and the fields that differ;
 * one pinned scenario per fault the engine routes through its seams
   (heartbeat loss, dropped and delayed DVFS writes, failed migrations);
+* flash-crowd arrivals with and without admission control, the one
+  pinned shape where tasks arrive mid-run and retire;
+* tasks off the dispatch map: active tasks left unplaced while every
+  cluster is hot-unplugged, and a task placed before it starts;
 * hypothesis-generated configurations sweeping task mixes, governors,
   sensor noise, thermal tracking and estimated-power operation, so any
   columnar fast path that is only exercised under an odd combination
@@ -24,16 +28,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import tick_records
+from repro.core.admission import AdmissionConfig, AdmissionController, OverloadManager
 from repro.core.powerest import EstimationConfig
 from repro.experiments.campaigns import CAMPAIGN_FAULTS, build_campaign_schedule
 from repro.experiments.harness import make_governor
-from repro.faults import FaultInjector
+from repro.experiments.overload import build_overload_arrivals
+from repro.faults import FaultInjector, FaultKind, single_fault
 from repro.hw import tc2_chip
 from repro.hw.thermal import ThermalConfig
 from repro.sim import SimConfig
 from repro.sim.columnar import ColumnarSimulation
 from repro.sim.engine import ObjectSimulation
-from repro.tasks import build_workload, random_tasks
+from repro.tasks import ArrivalStream, build_workload, random_tasks
 
 
 def _build(engine, *, workload, governor, seed, noise_w, fault, duration_s,
@@ -100,8 +106,7 @@ def _assert_equivalent(obj, col, label):
     assert la == lb, "%s: load-tracker dict diverged" % label
     for ta, tb in zip(obj.tasks, col.tasks):
         for attr in ("total_beats", "total_work_pu_s", "last_supply_pus",
-                     "last_consumed_pus", "last_demand_pus", "frozen_until",
-                     "migrations"):
+                     "last_consumed_pus", "frozen_until", "migrations"):
             va, vb = getattr(ta, attr), getattr(tb, attr)
             assert va == vb, "%s: %s.%s %r vs %r" % (label, ta.name, attr, va, vb)
         assert list(ta.hrm._samples) == list(tb.hrm._samples), (
@@ -162,6 +167,78 @@ class TestFaultSeamEquivalence:
         stats = obj.fault_injector.stats()
         assert stats[counter] > 0
         assert col.fault_injector.stats() == stats
+
+
+def _build_arrivals(engine, governor, admission):
+    chip = tc2_chip()
+    sim = engine(
+        chip,
+        build_workload("l1"),
+        make_governor(governor, power_cap_w=10.0),
+        config=SimConfig(seed=3, metrics_warmup_s=3.0, audit=True),
+    )
+    stream = ArrivalStream(build_overload_arrivals(chip, 12.0, 3.0), seed=3)
+    controller = AdmissionController(AdmissionConfig()) if admission else None
+    OverloadManager(stream, controller).attach(sim)
+    sim.run(12.0)
+    return sim
+
+
+class TestArrivalEquivalence:
+    """l1 under a flash crowd at 10 W: arrivals are placed, run and retire.
+
+    Each run retires 38-46 tasks.  Retirement runs before dispatch in the
+    tick a task ends, so no task is mapped but inactive at dispatch here;
+    :class:`TestOffMapEquivalence` covers that case.
+    """
+
+    @pytest.mark.parametrize("admission", [False, True], ids=["baseline", "admission"])
+    @pytest.mark.parametrize("governor", ["PPM", "HPM", "HL"])
+    def test_engines_agree_with_arrivals(self, governor, admission):
+        obj = _build_arrivals(ObjectSimulation, governor, admission)
+        col = _build_arrivals(ColumnarSimulation, governor, admission)
+        assert [t.name for t in obj.tasks] == [t.name for t in col.tasks]
+        assert any(not t.is_active(obj.now) for t in obj.tasks)  # some retired
+        _assert_equivalent(obj, col, "%s/l1/arrivals/admission=%s" % (governor, admission))
+
+
+def _build_off_map(engine, governor, case):
+    chip = tc2_chip()
+    tasks = build_workload("m1")
+    if case == "preplaced":
+        tasks[1].start_time = 1.0
+    sim = engine(
+        chip,
+        tasks,
+        make_governor(governor, power_cap_w=8.0),
+        config=SimConfig(seed=5, metrics_warmup_s=1.0, audit=True),
+    )
+    if case == "offline":
+        schedule = single_fault(FaultKind.HOTPLUG, 1.0, 1.0, target="big")
+        schedule = schedule.extended(
+            single_fault(FaultKind.HOTPLUG, 1.0, 1.0, target="little").events
+        )
+        FaultInjector(sim, schedule).attach()
+    else:
+        sim.place(tasks[1], chip.cluster("little").cores[0])
+    sim.run(3.0)
+    return sim
+
+
+class TestOffMapEquivalence:
+    """m1 with tasks off the dispatch map for 100 ticks.
+
+    ``offline``: both clusters are hot-unplugged from 1 s to 2 s, so every
+    active task idles unplaced.  ``preplaced``: one task is placed at 0 s
+    but starts at 1 s, so it is mapped and inactive.
+    """
+
+    @pytest.mark.parametrize("case", ["offline", "preplaced"])
+    @pytest.mark.parametrize("governor", ["PPM", "HPM", "HL"])
+    def test_engines_agree_off_map(self, governor, case):
+        obj = _build_off_map(ObjectSimulation, governor, case)
+        col = _build_off_map(ColumnarSimulation, governor, case)
+        _assert_equivalent(obj, col, "%s/m1/%s" % (governor, case))
 
 
 class TestManyTasksEquivalence:

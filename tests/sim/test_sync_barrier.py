@@ -38,7 +38,6 @@ _HOT_ATTRS = (
     "total_work_pu_s",
     "last_supply_pus",
     "last_consumed_pus",
-    "last_demand_pus",
 )
 
 
