@@ -396,6 +396,7 @@ class PPMGovernor:
                 if task is not None:
                     sim.clear_allocation(task)
                 self._smoothed_demand.pop(task_id, None)
+                self._last_move_time.pop(task_id, None)
                 self._demand_cache_stamp += 1
         for task_id, task in active.items():
             core = sim.placement.core_of(task)

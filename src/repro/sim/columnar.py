@@ -745,9 +745,6 @@ class ColumnarSimulation(Simulation):
         # callers reuse the same list while the market membership is
         # stable, so the rowmap walk happens once per (membership, epoch).
         self._gather_cache: Optional[tuple] = None
-        # (starts, ends) for the vector active-task scan; rebuilt on
-        # invalidate_task_cache.
-        self._task_window: Optional[tuple] = None
         #: Debug check for tests: poison the hot view attributes between
         #: barriers so an unsynchronised read raises.  Read every tick;
         #: it changes no value a barrier materialises.
@@ -773,7 +770,6 @@ class ColumnarSimulation(Simulation):
         self._grant_inputs_dirty = True
         self._hr_cache = None
         self._hr_stamp = -1
-        self._task_window = None
         self._gather_cache = None
 
     # -- the observation barrier --------------------------------------------------
@@ -841,39 +837,6 @@ class ColumnarSimulation(Simulation):
     def set_weight(self, task: Task, weight: float) -> None:
         self._grant_inputs_dirty = True
         super().set_weight(task, weight)
-
-    # -- fast-path engine queries -------------------------------------------------
-    def _scan_active(self, now: float) -> List[Task]:
-        win = self._task_window
-        if win is None:
-            tasks = self.tasks
-            n = len(tasks)
-            starts = np.fromiter((t.start_time for t in tasks), dtype=float, count=n)
-            ends = np.fromiter(
-                (
-                    t.start_time + t.duration if t.duration is not None else math.inf
-                    for t in tasks
-                ),
-                dtype=float,
-                count=n,
-            )
-            win = self._task_window = (starts, ends)
-        starts, ends = win
-        mask = (now >= starts) & (now < ends)
-        if bool(mask.all()):
-            return self.tasks
-        tasks = self.tasks
-        return [tasks[i] for i in np.nonzero(mask)[0].tolist()]
-
-    def _retire_inactive(self) -> None:
-        if not self._any_finite_task:
-            return
-        ep = self._epoch
-        if ep is not None and ep.version == self.placement.version and ep.n:
-            now = self.now
-            if bool(((now >= ep.start) & (now < ep.end)).all()):
-                return  # nothing placed can retire this tick
-        super()._retire_inactive()
 
     # -- columnar observability ---------------------------------------------------
     def _heart_rates(self) -> "np.ndarray":

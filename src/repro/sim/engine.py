@@ -16,6 +16,7 @@ bid round is ~32 ms).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence
 
@@ -181,12 +182,15 @@ class Simulation:
         self._allocations: Dict[Task, float] = {}
         self._weights: Dict[Task, float] = {}
         self._prepared = False
-        # Per-tick cache of the active task list.  Activity only depends
-        # on ``now``, which is constant within a tick, so every consumer
-        # of ``active_tasks`` inside one tick shares a single scan.
-        self._active_cache_now: Optional[float] = None
+        # The active task list, valid from its scan time until the activity
+        # horizon: the earliest later start or end of any task.
         self._active_cache: List[Task] = []
-        self._note_task_windows()
+        self._active_from = math.inf
+        self._horizon = -math.inf
+        # The settled mark: the active list and placement version at which
+        # the mapped tasks were last found to be exactly the active ones.
+        self._settled_active: Optional[List[Task]] = None
+        self._settled_version = -1
         self._gate_held_down: set = set()
         self._offline: set = set()
         self._last_sensor_sample: Optional[SensorSample] = None
@@ -271,39 +275,57 @@ class Simulation:
         return list(self._active_now())
 
     def _active_now(self) -> List[Task]:
-        """The cached active-task list for this tick (do not mutate).
+        """The active-task list (do not mutate).
 
-        Once every task has started and none can end, this is
-        ``self.tasks`` itself: callers test ``is self.tasks`` to skip
-        their per-task activity checks.
+        One scan serves every tick until ``now`` reaches the activity
+        horizon, and the list object stays the same until then.  When
+        every task is active the list is ``self.tasks`` itself.
         """
-        if self._active_cache_now != self.now:
-            now = self.now
-            if not self._any_finite_task and now >= self._last_start:
-                self._active_cache = self.tasks
-            else:
-                self._active_cache = self._scan_active(now)
-            self._active_cache_now = now
-        return self._active_cache
+        now = self.now
+        if self._active_from <= now < self._horizon:
+            return self._active_cache
+        active = []
+        horizon = math.inf
+        for task in self.tasks:
+            # Task.is_active's tests; each bound it compares ``now``
+            # against is a time at which the task's activity changes.
+            start = task.start_time
+            if now < start:
+                if start < horizon:
+                    horizon = start
+                continue
+            duration = task.duration
+            if duration is not None:
+                end = start + duration
+                if now >= end:
+                    continue
+                if end < horizon:
+                    horizon = end
+            active.append(task)
+        if len(active) == len(self.tasks):
+            active = self.tasks
+        self._active_cache = active
+        self._active_from = now
+        self._horizon = horizon
+        return active
 
-    def _scan_active(self, now: float) -> List[Task]:
-        return [t for t in self.tasks if t.is_active(now)]
-
-    def _note_task_windows(self) -> None:
-        # Whether any task can ever retire (finite duration); with only
-        # unbounded tasks the per-tick retirement scan is skipped.
-        self._any_finite_task = any(t.duration is not None for t in self.tasks)
-        # From this time on, with no finite task, every task is active.
-        self._last_start = max((t.start_time for t in self.tasks), default=0.0)
+    def _settled_now(self) -> bool:
+        """Whether the settled mark holds for this tick's active list."""
+        return (
+            self._settled_active is self._active_now()
+            and self._settled_version == self.placement.version
+        )
 
     def invalidate_task_cache(self) -> None:
-        """Drop per-tick task caches after out-of-band task mutation.
+        """Drop the engine's task caches after out-of-band task mutation.
 
-        Checkpoint restore and scenario drivers that edit task start or
-        duration fields mid-run must call this so the engine re-scans.
+        The active list is kept until the activity horizon, so every
+        change to ``sim.tasks`` and every mid-run edit of a task's
+        ``start_time`` or ``duration`` must be followed by this call
+        (arrivals, shedding and checkpoint restore make it).
         """
-        self._active_cache_now = None
-        self._note_task_windows()
+        self._horizon = -math.inf
+        self._settled_active = None
 
     def sync(self) -> None:
         """Materialise the object view of any column-resident hot state.
@@ -434,7 +456,10 @@ class Simulation:
             return self.failed_migration_record(task, destination)
         if destination.cluster.cluster_id in self._offline:
             return self.failed_migration_record(task, destination)
+        settled = self._settled_now()
         record = self.migrations.migrate(task, destination, now=self.now)
+        if settled:  # a move keeps the set of mapped tasks
+            self._settled_version = self.placement.version
         if self.tracer is not None:
             self.tracer.record(
                 self.now,
@@ -579,39 +604,45 @@ class Simulation:
             )
 
     def _ensure_placed(self) -> None:
-        # Common tick: the whole population is active and placed, so no
-        # active task can be waiting for placement.
-        if (
-            self.placement.placed_count() == len(self.tasks)
-            and self._active_now() is self.tasks
-        ):
+        if self._settled_now():
             return
+        active = self._active_now()
+        placement = self.placement
         # Per-batch load memo: placing N tasks at one instant costs O(N)
         # demand evaluations instead of O(N^2) (see least_loaded_core).
         cache: Dict[str, float] = {}
-        for task in self._active_now():
-            if not self.placement.is_placed(task):
+        for task in active:
+            if not placement.is_placed(task):
                 place_task = getattr(self.governor, "place_task", None)
                 if place_task is not None:
                     try:
                         place_task(self, task)
                     except ValueError:
                         pass  # governor chose offline hardware; use default
-                    if self.placement.is_placed(task):
+                    if placement.is_placed(task):
                         # Placed outside the cache's bookkeeping; evict so
                         # the next lookup recomputes that core fresh.
-                        core = self.placement.core_of(task)
+                        core = placement.core_of(task)
                         if core is not None:
                             cache.pop(core.core_id, None)
                         continue
                 self._default_place(task, cache)
+        # Settled: every active task is mapped, and nothing else is.
+        if placement.placed_count() == len(active) and all(
+            map(placement.is_placed, active)
+        ):
+            self._settled_active = active
+            self._settled_version = placement.version
 
     def _retire_inactive(self) -> None:
-        if not self._any_finite_task:
-            return  # nothing can ever retire; skip the scan
+        # Only ended tasks are unplaced: one placed before its start keeps
+        # its core.  While settled, every mapped task is active.
+        if self._settled_now():
+            return
         now = self.now
         retired = [
-            task for task in self.placement.all_tasks() if not task.is_active(now)
+            t for t in self.placement.all_tasks()
+            if t.duration is not None and now >= t.start_time + t.duration
         ]
         for task in retired:
             self.placement.remove(task)
@@ -654,7 +685,7 @@ class Simulation:
         decay = tracker.decay_for(dt)
         fresh = 1.0 - decay
         placement = self.placement
-        all_active = self._active_now() is self.tasks
+        all_active = self._settled_now()
         inactive_mapped = False
         for cluster in self.chip.clusters:
             core_type = cluster.core_type

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import ChipPowerState, MarketConfig, PPMConfig, PPMGovernor
+from repro.core.admission import AdmissionConfig, AdmissionController, OverloadManager
+from repro.experiments.overload import build_overload_arrivals
 from repro.hw import tc2_chip
 from repro.sim import SimConfig, Simulation
-from repro.tasks import build_workload, make_task
+from repro.tasks import ArrivalStream, build_workload, make_task
 
 
 def make_sim(tasks, config=None, dt=0.01):
@@ -45,6 +47,19 @@ class TestMarketWiring:
         sim.run(0.3)
         assert brief.name not in gov.market.tasks
         assert keeper.name in gov.market.tasks
+
+    def test_move_times_kept_for_market_tasks_only(self):
+        """A retired task's LBT move time leaves with it (flash-crowd run)."""
+        chip = tc2_chip()
+        sim, gov = make_sim(build_workload("l1"), PPMConfig(market=MarketConfig(wtdp=10.0)))
+        stream = ArrivalStream(build_overload_arrivals(chip, 12.0, 3.0), seed=3)
+        OverloadManager(stream, AdmissionController(AdmissionConfig())).attach(sim)
+        for tick in range(1200):
+            sim.step()
+            if tick % 100 == 0:
+                assert set(gov._last_move_time) <= set(gov.market.tasks), sim.now
+        retired = [t for t in sim.tasks if not t.is_active(sim.now)]
+        assert retired and any(t.migrations for t in retired)
 
     def test_placement_synced_into_market(self):
         task = make_task("swaptions", "l")

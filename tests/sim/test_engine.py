@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.experiments.harness import make_governor
 from repro.governors import BaseGovernor, MaxFrequencyGovernor
 from repro.hw import tc2_chip
 from repro.sim import SimConfig, Simulation
-from repro.tasks import make_task
+from repro.tasks import build_workload, make_task
 
 
 def make_sim(tasks, governor=None, dt=0.01, auto_gate=True, warmup=0.0):
@@ -153,6 +154,22 @@ class TestTaskLifecycleInEngine:
         assert not sim.placement.is_placed(brief)
         # Both clusters empty -> everything gated off.
         assert not sim.chip.cluster("little").powered
+
+    @pytest.mark.parametrize("lifetime", [None, 100.0], ids=["unbounded", "finite"])
+    def test_task_placed_before_its_start_keeps_its_core(self, lifetime):
+        """Retirement unplaces ended tasks only, whatever the other tasks' lifetimes."""
+        chip = tc2_chip()
+        tasks = build_workload("m1")
+        tasks[0].duration = lifetime
+        late = tasks[1]
+        late.start_time = 1.0
+        sim = Simulation(
+            chip, tasks, make_governor("HL", power_cap_w=8.0), config=SimConfig(seed=5)
+        )
+        sim.place(late, chip.core("big.1"))
+        sim.step()
+        assert not late.is_active(sim.now)
+        assert sim.placement.core_of(late) is chip.core("big.1")
 
     def test_weights_api(self):
         task = make_task("swaptions", "l")
