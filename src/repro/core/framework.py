@@ -40,21 +40,18 @@ class _DemandVecCache:
     """Round-to-round arrays for the vectorized Table 4 demand conversion.
 
     ``ids``/``tasks``/``target`` are fixed while the market membership is
-    unchanged; ``fallback`` additionally depends on each task's current
-    core type (refreshed when the placement mutates); ``prev`` is last
-    round's smoothed-demand array, valid until an out-of-band write to
-    the smoothed dict bumps the owning governor's stamp.
+    unchanged; ``prev`` is last round's smoothed-demand array, valid
+    until an out-of-band write to the smoothed dict bumps the owning
+    governor's stamp (a move's seeded demand is written into it instead).
     """
 
-    __slots__ = ("stamp", "ids", "tasks", "target", "pver", "fallback", "prev")
+    __slots__ = ("stamp", "ids", "tasks", "target", "prev")
 
     def __init__(self, stamp: int):
         self.stamp = stamp
         self.ids: List[str] = []
         self.tasks: List[Task] = []
         self.target = None
-        self.pver = -1
-        self.fallback = None
         self.prev = None
 
 
@@ -84,10 +81,11 @@ class PPMGovernor:
         self._demand_vec_cache: Optional[_DemandVecCache] = None
         self._demand_cache_stamp = 0
         #: Structural arrays for :meth:`_demands_on_cluster_arr`, one
-        #: entry per target cluster, keyed by the market's structure
-        #: stamp: which roster rows sit on the target cluster already and
-        #: the off-line-profile nominal demands the others scale by.
-        self._demand_arr_struct: Dict[str, list] = {}
+        #: roster per target cluster, keyed by the market's structure
+        #: stamp and move count: which roster rows sit on the target
+        #: cluster already and the off-line-profile nominal demands the
+        #: others scale by.
+        self._demand_arr_struct: Dict[str, tuple] = {}
         self._next_bid_time = 0.0
         self._round_counter = 0
         self._last_move_time: Dict[str, float] = {}
@@ -369,24 +367,40 @@ class PPMGovernor:
     # ------------------------------------------------------------------
     # Market round plumbing
     # ------------------------------------------------------------------
-    def _sync_tasks(self, sim: Simulation) -> None:
-        """Mirror the engine's task population and placement in the market.
-
-        Every membership or placement change that could desynchronise the
-        mirror bumps one of the signature components: arrivals/retires
-        and migrations bump ``placement.version`` (tasks enter the market
-        only once placed), spawns grow ``sim.tasks``, market membership
-        edits move ``len(market.tasks)``, and out-of-band market
-        mutations bump ``_demand_cache_stamp``.  A matching signature
-        therefore means a full pass would be a no-op.
-        """
-        sig = (
+    def _mirror_sig(self, sim: Simulation) -> tuple:
+        return (
             sim.placement.version,
             len(sim.tasks),
             len(self.market.tasks),
             self._demand_cache_stamp,
+            sim._active_now(),
         )
-        if sig == self._market_sync_sig:
+
+    def _mirror_current(self, sim: Simulation) -> bool:
+        """Whether the last mirror pass still matches the engine.
+
+        The active list is compared by identity: the engine hands out a
+        new list at every task start and end, and ``==`` would walk it.
+        """
+        sig = self._market_sync_sig
+        if sig is None:
+            return False
+        now = self._mirror_sig(sim)
+        return sig[4] is now[4] and sig[:4] == now[:4]
+
+    def _sync_tasks(self, sim: Simulation) -> None:
+        """Mirror the engine's task population and placement in the market.
+
+        Every membership or placement change that could desynchronise the
+        mirror moves one of the signature components: arrivals/retires
+        and migrations bump ``placement.version``, spawns grow
+        ``sim.tasks``, task starts and ends replace the engine's active
+        list (a task placed before its start joins when it starts),
+        market membership edits move ``len(market.tasks)``, and
+        out-of-band market mutations bump ``_demand_cache_stamp``.  A
+        matching signature therefore means a full pass would be a no-op.
+        """
+        if self._mirror_current(sim):
             return
         active = {task.name: task for task in sim.active_tasks()}
         for task_id in list(self.market.tasks):
@@ -409,12 +423,7 @@ class PPMGovernor:
             elif self.market.core_of(task_id) != core.core_id:
                 self.market.move_task(task_id, core.core_id)
         # Recomputed after the pass: the body itself moves the counters.
-        self._market_sync_sig = (
-            sim.placement.version,
-            len(sim.tasks),
-            len(self.market.tasks),
-            self._demand_cache_stamp,
-        )
+        self._market_sync_sig = self._mirror_sig(sim)
 
     def _demands_of_all(self, sim: Simulation) -> Dict[str, float]:
         """Table 4 demand conversion for every market task.
@@ -452,13 +461,6 @@ class PPMGovernor:
             hr = np.asarray([t.observed_heart_rate() for t in tasks])
             consumed = np.asarray([t.last_consumed_pus for t in tasks])
             supplied = np.asarray([t.last_supply_pus for t in tasks])
-        pver = sim.placement.version
-        if cache.fallback is None or cache.pver != pver:
-            cache.fallback = np.asarray(
-                [self._nominal_demand_here(sim, t) for t in tasks]
-            )
-            cache.pver = pver
-        fallback = cache.fallback
         cap = self._demand_cap
         if cap is None:
             cap = self.config.market.demand_cap_factor * max(
@@ -469,11 +471,14 @@ class PPMGovernor:
         # ``last_consumed or last_supply``: consumed wins unless zero.
         supply = np.where(consumed != 0.0, consumed, supplied)
         usable = (hr > 0.0) & (supply > 0.0)
-        demand = np.where(
-            usable,
-            target * supply / np.where(usable, hr, 1.0),
-            fallback,
-        )
+        demand = target * supply / np.where(usable, hr, 1.0)
+        # The off-line-profile fallback, on each task's current core type,
+        # only for the rows without a usable observation.
+        fallback_rows = np.flatnonzero(~usable).tolist()
+        if fallback_rows:
+            demand[fallback_rows] = [
+                self._nominal_demand_here(sim, tasks[i]) for i in fallback_rows
+            ]
         demand = demand * self.config.market.demand_headroom
         demand = np.minimum(np.maximum(demand, 1.0), cap)
 
@@ -683,9 +688,11 @@ class PPMGovernor:
         Every row evaluates the exact scalar expression elementwise --
         ``agent.demand`` for tasks already on the target cluster, the
         profile-scaled ``(demand * nominal) / nominal_here`` otherwise --
-        so the gather is bit-identical to per-task calls.  The masks and
-        nominal-demand operands are pure placement/profile state, cached
-        per target cluster against the market's structure stamp; only the
+        so the gather is bit-identical to per-task calls.  The cluster's
+        resident roster (every task already on it) is the live demand
+        alone.  For any other roster the masks and nominal-demand operands
+        are pure placement/profile state, cached per target cluster
+        against the market's structure stamp and move count; only the
         live-demand gather runs per call.  Returns ``None`` when scalar
         semantics cannot be reproduced array-wise (online estimation) and
         the caller falls back to the scalar loop.
@@ -693,32 +700,18 @@ class PPMGovernor:
         if self.online_estimator is not None:
             return None
         market = self.market
-        stamp = market.structure_stamp
-        n = len(task_ids)
-        # Two cached rosters per cluster: the resident roster (refresh)
-        # and the movers roster (cross-cluster batches) alternate within
-        # one proposal sweep; a single slot would thrash between them.
-        slots = self._demand_arr_struct.get(cluster_id)
-        if slots is None:
-            slots = self._demand_arr_struct[cluster_id] = []
-        struct = None
-        for s in slots:
-            if (
-                s[0] == stamp
-                and s[1] == n
-                and (
-                    n == 0
-                    or (s[2][0] is task_ids[0] and s[2][-1] is task_ids[-1])
-                )
-            ):
-                struct = s
-                break
-        if struct is None:
-            struct = self._build_demand_struct(np, list(task_ids), cluster_id, stamp)
-            slots.insert(0, struct)
-            del slots[2:]
-        (_s, _n, _ids, valid, is_current, use_plain, use_nominal, nominal, nh_safe) = struct
         agents = market.tasks
+        if task_ids == market.cluster_roster(cluster_id):
+            tasks_by_id = self._tasks_by_id
+            return np.asarray(
+                [agents[tid].demand if tid in tasks_by_id else 0.0 for tid in task_ids]
+            )
+        stamp = (market.structure_stamp, len(market.moves))
+        struct = self._demand_arr_struct.get(cluster_id)
+        if struct is None or struct[0] != stamp or struct[1] != task_ids:
+            struct = self._build_demand_struct(np, list(task_ids), cluster_id, stamp)
+            self._demand_arr_struct[cluster_id] = struct
+        (_s, _ids, valid, is_current, use_plain, use_nominal, nominal, nh_safe) = struct
         dem = np.asarray(
             [
                 agent.demand if (agent := agents.get(tid)) is not None else 0.0
@@ -732,7 +725,7 @@ class PPMGovernor:
         return np.where(valid, out, 0.0)
 
     def _build_demand_struct(
-        self, np, task_ids: List[str], cluster_id: str, stamp: int
+        self, np, task_ids: List[str], cluster_id: str, stamp: tuple
     ) -> tuple:
         """Placement/profile masks for one ``_demands_on_cluster_arr`` roster."""
         market = self.market
@@ -768,7 +761,7 @@ class PPMGovernor:
             else:
                 nh_safe[i] = nom_here
         return (
-            stamp, n, task_ids, valid, is_current, use_plain,
+            stamp, task_ids, valid, is_current, use_plain,
             use_nominal, nominal, nh_safe,
         )
 
@@ -816,6 +809,7 @@ class PPMGovernor:
         seeded = self._demand_on_cluster(
             decision.task_id, destination.cluster.cluster_id
         )
+        mirrored = self._mirror_current(sim)
         record = sim.migrate(task, destination)
         if record.failed:
             # sched_setaffinity failed: the task did not move.  Remember
@@ -830,6 +824,10 @@ class PPMGovernor:
         if self._move_retry is not None:
             self._move_retry.record_success(decision.task_id)
         self.market.move_task(decision.task_id, decision.target_core_id)
+        if mirrored:
+            # The market moved with the task, so the mirror still holds
+            # (as Simulation.migrate keeps the settled mark).
+            self._market_sync_sig = self._mirror_sig(sim)
         self._last_move_time[decision.task_id] = sim.now
         self.moves_executed += 1
         if crossed_types and seeded > 0.0:
@@ -842,7 +840,13 @@ class PPMGovernor:
             if agent is not None:
                 agent.demand = seeded
             self._smoothed_demand[decision.task_id] = seeded
-            self._demand_cache_stamp += 1
+            cache = self._demand_vec_cache
+            if (
+                cache is not None
+                and cache.stamp == self._demand_cache_stamp
+                and cache.prev is not None
+            ):
+                cache.prev[cache.ids.index(decision.task_id)] = seeded
 
     # ------------------------------------------------------------------
     # Resilience: migration retry and safe-mode degradation

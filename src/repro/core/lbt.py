@@ -325,13 +325,7 @@ class LBTModule:
             src_cluster = market.cores[source_core].cluster_id
             dst_cluster = market.cores[target_core].cluster_id
             for cid in {src_cluster, dst_cluster}:
-                cluster = market.clusters[cid]
-                roster = [
-                    tid
-                    for core_id in cluster.core_ids
-                    for tid in market._tasks_by_core[core_id]
-                ]
-                self._estimator.prime_demands(cid, roster)
+                self._estimator.prime_demands(cid, market.cluster_roster(cid))
             current, candidate = self._estimator.evaluate_move(task_id, target_core)
         return MoveDecision(
             task_id=task_id,

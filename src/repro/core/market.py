@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..sim.engine import VEC_MIN_TASKS
 from .agents import (
@@ -102,14 +102,19 @@ class Market:
         self._prev_total_supply: Optional[float] = None
         self._prev_shortfall: Optional[float] = None
         self.rounds_run = 0
-        #: Bumped on every membership/placement mutation (add, remove,
-        #: move, restore).  Anything derived purely from ``_tasks_by_core``
-        #: and per-task priorities (the LBT evaluator's structural arrays)
-        #: may be cached against this stamp.
+        #: Bumped on every membership mutation (add, remove, restore).
+        #: Anything derived purely from ``_tasks_by_core`` and per-task
+        #: priorities (the LBT evaluator's structural arrays) may be
+        #: cached against this stamp, provided it also follows ``moves``.
         self.structure_stamp = 0
+        #: The moves since the stamp last changed, as (task_id, from_core,
+        #: to_core) in order: a structure cached against the stamp patches
+        #: the moves it has not seen instead of rebuilding.
+        self.moves: List[Tuple[str, str, str]] = []
         # Clearing's structural gather -- (stamp, agents, core_ix,
         # cluster_ix, priority, slot_cores) in cluster -> core ->
-        # registration order -- reused while the stamp holds.
+        # registration order -- reused while the stamp holds, and patched
+        # by each move.
         self._clearing_struct: Optional[tuple] = None
         self._round_struct: Optional[tuple] = None
 
@@ -147,7 +152,7 @@ class Market:
         self._task_seq[task_id] = self._seq_counter
         self._seq_counter += 1
         self._tasks_by_core[core_id].append(task_id)  # newest seq: append
-        self.structure_stamp += 1
+        self._membership_changed()
         self._ensure_allowance_pool()
         return agent
 
@@ -168,7 +173,7 @@ class Market:
         if core_id is not None:
             self._tasks_by_core[core_id].remove(task_id)
         self._task_seq.pop(task_id, None)
-        self.structure_stamp += 1
+        self._membership_changed()
         if not self.tasks:
             return
         floor = self.config.bmin * len(self.tasks)
@@ -179,8 +184,19 @@ class Market:
         elif self.chip.allowance < floor:
             self.chip.allowance = floor
 
+    #: Longest move journal kept; the move after it bumps the stamp, so
+    #: the structures cached against it rebuild once instead.
+    _MAX_MOVES = 4096
+
+    def _membership_changed(self) -> None:
+        self.structure_stamp += 1
+        self.moves = []
+
     def move_task(self, task_id: str, core_id: str) -> None:
-        """Update the market's view of a migration; agent state persists."""
+        """Update the market's view of a migration; agent state persists.
+
+        The round and clearing structures are patched, not rebuilt.
+        """
         if task_id not in self.tasks:
             raise KeyError(f"unknown task {task_id}")
         if core_id not in self.cores:
@@ -189,16 +205,24 @@ class Market:
         if previous == core_id:
             return
         self._placement[task_id] = core_id
-        self._tasks_by_core[previous].remove(task_id)
-        self._insert_in_seq_order(core_id, task_id)
-        self.structure_stamp += 1
+        bucket = self._tasks_by_core[previous]
+        old_index = bucket.index(task_id)
+        del bucket[old_index]
+        new_index = self._insert_in_seq_order(core_id, task_id)
+        if len(self.moves) >= self._MAX_MOVES:
+            self._membership_changed()
+            return
+        self.moves.append((task_id, previous, core_id))
+        self._patch_round_struct(task_id, previous, core_id, old_index, new_index)
+        self._patch_clearing_struct(task_id, previous, core_id, old_index, new_index)
 
-    def _insert_in_seq_order(self, core_id: str, task_id: str) -> None:
+    def _insert_in_seq_order(self, core_id: str, task_id: str) -> int:
         """Insert into a core's list keeping registration order.
 
         A ``dict`` keeps a moved task at its original position, so the
         index must too; core populations are small, so a linear scan from
-        the tail beats maintaining a parallel key list.
+        the tail beats maintaining a parallel key list.  Returns the
+        position the task took.
         """
         bucket = self._tasks_by_core[core_id]
         seq = self._task_seq[task_id]
@@ -206,6 +230,63 @@ class Market:
         while index > 0 and self._task_seq[bucket[index - 1]] > seq:
             index -= 1
         bucket.insert(index, task_id)
+        return index
+
+    def cluster_roster(self, cluster_id: str) -> List[str]:
+        """Task ids on ``cluster_id``: its cores in order, each in registration order."""
+        roster: List[str] = []
+        for core_id in self.clusters[cluster_id].core_ids:
+            roster.extend(self._tasks_by_core[core_id])
+        return roster
+
+    def _patch_round_struct(
+        self, task_id: str, src: str, dst: str, old_index: int, new_index: int
+    ) -> None:
+        """Move one agent between the round structure's per-core lists."""
+        rstruct = self._round_struct
+        if rstruct is None or rstruct[0] != self.structure_stamp:
+            return
+        _stamp, core_agents, cluster_agents, populated_cores = rstruct
+        del core_agents[src][old_index]
+        core_agents[dst].insert(new_index, self.tasks[task_id])
+        for cluster_id in {self.cores[src].cluster_id, self.cores[dst].cluster_id}:
+            core_ids = self.clusters[cluster_id].core_ids
+            gathered: List[TaskAgent] = []
+            for core_id in core_ids:
+                gathered.extend(core_agents[core_id])
+            cluster_agents[cluster_id] = gathered
+            populated_cores[cluster_id] = [cid for cid in core_ids if core_agents[cid]]
+
+    def _patch_clearing_struct(
+        self, task_id: str, src: str, dst: str, old_index: int, new_index: int
+    ) -> None:
+        """Move one agent's row in the clearing structure's arrays.
+
+        Rows run cluster -> core -> registration order, so ``core_ix`` is
+        sorted and a core's block starts at its first slot index.
+        """
+        import numpy as np
+
+        struct = self._clearing_struct
+        if struct is None or struct[0] != self.structure_stamp:
+            return
+        stamp, agents, core_ix, cluster_ix, priority, slot_cores = struct
+        slots = [core.core_id for core in slot_cores]
+        src_slot = slots.index(src)
+        dst_slot = slots.index(dst)
+        row = int(np.searchsorted(core_ix, src_slot)) + old_index
+        agent = agents.pop(row)
+        core_ix = np.delete(core_ix, row)
+        cluster_ix = np.delete(cluster_ix, row)
+        priority = np.delete(priority, row)
+        row = int(np.searchsorted(core_ix, dst_slot)) + new_index
+        agents.insert(row, agent)
+        core_ix = np.insert(core_ix, row, dst_slot)
+        cluster_ix = np.insert(
+            cluster_ix, row, list(self.clusters).index(self.cores[dst].cluster_id)
+        )
+        priority = np.insert(priority, row, float(agent.priority))
+        self._clearing_struct = (stamp, agents, core_ix, cluster_ix, priority, slot_cores)
 
     def _rebuild_core_index(self) -> Dict[str, List[str]]:
         """The per-core index a full ``_placement`` scan would produce."""
@@ -434,7 +515,7 @@ class Market:
         self._prev_total_supply = state["prev_total_supply"]
         self._prev_shortfall = state["prev_shortfall"]
         self.rounds_run = state["rounds_run"]
-        self.structure_stamp += 1
+        self._membership_changed()
 
     # ------------------------------------------------------------------
     # Vectorized clearing (steps 3-5 of the round protocol)
@@ -639,7 +720,8 @@ class Market:
         # gather the per-core agent lists, per-core demand sums (same fold
         # order as ``core_demand``) and constrained cores exactly once.
         # The agent lists and per-cluster populated-core lists are pure
-        # placement structure, cached against the structure stamp.
+        # placement structure, cached against the structure stamp and
+        # patched by each move.
         tasks = self.tasks
         rstruct = self._round_struct
         if rstruct is None or rstruct[0] != self.structure_stamp:

@@ -24,6 +24,7 @@ empty sets and at least one improvement.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -63,7 +64,8 @@ class _ClusterBase:
 
     Split into a *structural* part -- roster, slot maps, priorities and
     their per-core sums, all functions of ``market._tasks_by_core`` alone
-    and therefore cacheable against ``market.structure_stamp`` -- and a
+    and therefore cacheable against ``market.structure_stamp`` and
+    patched by the market's moves (:meth:`replay`) -- and a
     *per-proposal* part (:meth:`refresh`): demands, in-order core demand
     sums and the current-mapping row, which change every market round.
     """
@@ -72,7 +74,7 @@ class _ClusterBase:
         "cluster_id", "ladder", "max_index", "tids", "tid_index", "prio",
         "core_slot", "slot_of_core", "d", "S", "psum", "n_tasks", "n_cores",
         "cur_present", "cur_level", "cur_ratio", "cur_bids", "cur_spend",
-        "stamp", "seq",
+        "stamp", "moves_seen", "seq",
     )
 
     def __init__(self, market, cluster_id: str):
@@ -104,7 +106,45 @@ class _ClusterBase:
         else:
             self.psum = np.zeros(self.n_cores)
         self.stamp = market.structure_stamp
+        self.moves_seen = len(market.moves)
         self.seq = -1  # no proposal data yet; refresh() must run first
+
+    def replay(self, market) -> None:
+        """Patch the roster with the market moves it has not seen.
+
+        A move takes one task out of its source core's block and puts it
+        into the target core's block in registration order, as
+        ``Market.move_task`` does, so the result equals a rebuild.
+        """
+        seqs = market._task_seq
+        tids = self.tids
+        for task_id, src, dst in market.moves[self.moves_seen:]:
+            if src in self.slot_of_core:
+                i = tids.index(task_id)
+                del tids[i]
+                self.prio = np.delete(self.prio, i)
+                self.core_slot = np.delete(self.core_slot, i)
+            slot = self.slot_of_core.get(dst)
+            if slot is not None:
+                lo = int(np.searchsorted(self.core_slot, slot, side="left"))
+                hi = int(np.searchsorted(self.core_slot, slot, side="right"))
+                block = [seqs[tid] for tid in tids[lo:hi]]
+                j = lo + bisect.bisect_left(block, seqs[task_id])
+                tids.insert(j, task_id)
+                self.prio = np.insert(
+                    self.prio, j, float(market.tasks[task_id].priority)
+                )
+                self.core_slot = np.insert(self.core_slot, j, slot)
+        self.tid_index = {tid: i for i, tid in enumerate(tids)}
+        self.n_tasks = len(tids)
+        if self.n_tasks:
+            self.psum = np.bincount(
+                self.core_slot, weights=self.prio, minlength=self.n_cores
+            )
+        else:
+            self.psum = np.zeros(self.n_cores)
+        self.moves_seen = len(market.moves)
+        self.seq = -1
 
     def refresh(self, estimator) -> None:
         """Per-proposal arrays: demands and their in-order core sums."""
@@ -127,9 +167,9 @@ class BatchMappingEvaluator:
 
     Held persistently by the LBT module across proposals of one run: the
     structural cluster arrays (roster, slot maps, priority sums) are
-    cached against ``market.structure_stamp`` and survive between
-    proposals, while demand-dependent state is re-derived lazily per
-    cluster after each :meth:`begin_proposal`.  The market must stay
+    cached against ``market.structure_stamp``, patched by moves and
+    survive between proposals, while demand-dependent state is
+    re-derived lazily per cluster after each :meth:`begin_proposal`.  The market must stay
     frozen for the duration of one sweep, like the estimator's own batch
     caches.
     """
@@ -145,17 +185,20 @@ class BatchMappingEvaluator:
         """Open one proposal sweep (one epoch of the cached evaluator).
 
         Structural arrays persist; each cluster's demands, core sums and
-        current-mapping row refresh on first touch.  Placement deltas
-        (add/remove/move/restore) invalidate the structural arrays too,
-        via the market's structure stamp.
+        current-mapping row refresh on first touch.  Membership changes
+        (add/remove/restore) rebuild the structural arrays, via the
+        market's structure stamp, and moves patch them.
         """
         self._seq += 1
 
     def _base(self, cluster_id: str) -> _ClusterBase:
+        market = self._market
         base = self._bases.get(cluster_id)
-        if base is None or base.stamp != self._market.structure_stamp:
-            base = _ClusterBase(self._market, cluster_id)
+        if base is None or base.stamp != market.structure_stamp:
+            base = _ClusterBase(market, cluster_id)
             self._bases[cluster_id] = base
+        elif base.moves_seen != len(market.moves):
+            base.replay(market)
         if base.seq != self._seq:
             base.refresh(self._est)
             self._current(base)

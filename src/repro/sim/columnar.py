@@ -37,8 +37,10 @@ and ``tests/sim/test_sync_barrier.py``):
 * **Epoch caching.**  Per-task constant arrays (start/end times, QoS
   bounds, per-beat costs, phase parameters) are rebuilt only when the
   placement mapping changes (:attr:`Placement.version`), the task set is
-  invalidated, or ``dt`` changes.  Rebuilds re-seed the columns from the
-  object view, so a barrier always precedes them.
+  invalidated, or ``dt`` changes.  A rebuild that keeps the population
+  (an LBT move) permutes the outgoing epoch's rows, heart-rate rings
+  included, and keeps its dirty stamps; any other rebuild re-seeds the
+  columns from the object view, so a barrier precedes it.
 """
 
 from __future__ import annotations
@@ -108,6 +110,27 @@ _POISONS = tuple(
         "last_supply_pus",
         "last_consumed_pus",
     )
+)
+
+
+#: Per-row columns of an epoch that a same-population rebuild gathers
+#: through the row permutation: task invariants and mutable state alike.
+_ROW_COLUMNS = (
+    "start",
+    "end",
+    "tgt_hr",
+    "has_limit",
+    "limit",
+    "lo",
+    "hi",
+    "cost_base",
+    "beats",
+    "work",
+    "sup",
+    "con",
+    "load",
+    "has_load",
+    "fz",
 )
 
 
@@ -241,6 +264,22 @@ class _HRMRings:
                 self.count[nr] = cnts
         self._detect_uniform()
         return self
+
+    def permute(self, perm: "np.ndarray", lo: int, hi: int) -> None:
+        """Reorder the rows in place: row ``i`` takes old row ``perm[i]``.
+
+        ``perm`` must be the identity outside ``lo:hi``, so each per-row
+        array takes one gather over that window.  Uniform mode's shared
+        time ring, head and count belong to no row and stay as they are.
+        """
+        src = perm[lo:hi]
+        self.window[lo:hi] = self.window[src]
+        self.b[lo:hi] = self.b[src]
+        if not self.uniform:
+            self.t[lo:hi] = self.t[src]
+            self.head[lo:hi] = self.head[src]
+            self.count[lo:hi] = self.count[src]
+        self.stamp += 1
 
     def _detect_uniform(self) -> None:
         """Enter uniform mode when every row shares window and cadence.
@@ -452,9 +491,10 @@ class ColumnarHRM:
     """Drop-in ``HeartRateMonitor`` view over one ring-buffer row.
 
     Standalone handle: it stays valid (reads and writes its birth ring)
-    even after the owning epoch is discarded; a rebuilt epoch simply
-    materialises its samples into the new rings and hands the task a
-    fresh view.
+    even after the owning epoch is discarded.  An epoch seeded from the
+    object view gathers its samples into new rings and hands the task a
+    fresh view; a same-population rebuild permutes the rings in place
+    and re-points the views whose row moved.
     """
 
     def __init__(self, rings: _HRMRings, row: int):
@@ -504,7 +544,6 @@ class _Epoch:
         "cores",
         "ncores",
         "core_ix",
-        "core_bounds",
         "clusters",
         "cluster_ix",
         "start",
@@ -554,6 +593,7 @@ class _Epoch:
         "alloc_none",
         "max_start",
         "min_end",
+        "fz",
         "fz_max",
         "core_counts",
         "cost_const",
@@ -615,22 +655,17 @@ class _Epoch:
         self.alloc_none = not self.alloc_all and not bool(self.alloc_has.any())
         self.g_key = None
 
-    def ordered_rows(self, runnable: "np.ndarray", frozen: "np.ndarray") -> List[int]:
-        """Store rows in scalar dispatch-update order.
+    def ordered_rows(self, active: "np.ndarray", frozen: "np.ndarray") -> List[int]:
+        """Active store rows in scalar dispatch-update order.
 
         The object engine updates the load dict runnable-first then
         frozen *per core*; dict insertion order is observable through
-        checkpoint snapshots, so mirror it exactly.
+        checkpoint snapshots, so mirror it exactly.  Rows are sorted by
+        core already, so a stable sort on (core, frozen) gives that order.
         """
-        out: List[int] = []
-        for s, e in self.core_bounds:
-            for i in range(s, e):
-                if runnable[i]:
-                    out.append(i)
-            for i in range(s, e):
-                if frozen[i]:
-                    out.append(i)
-        return out
+        rows = np.flatnonzero(active)
+        key = self.core_ix[rows] * 2 + frozen[rows]
+        return rows[np.argsort(key, kind="stable")].tolist()
 
 
 class ColumnarMetrics(MetricsCollector):
@@ -745,6 +780,10 @@ class ColumnarSimulation(Simulation):
         # callers reuse the same list while the market membership is
         # stable, so the rowmap walk happens once per (membership, epoch).
         self._gather_cache: Optional[tuple] = None
+        # Tasks migrated since the epoch was built.  Migration is the only
+        # writer of ``frozen_until`` between rebuilds (snapshot restore
+        # drops the epoch), so the epoch's ``fz`` column follows it.
+        self._migrated: List[Task] = []
         #: Debug check for tests: poison the hot view attributes between
         #: barriers so an unsynchronised read raises.  Read every tick;
         #: it changes no value a barrier materialises.
@@ -817,6 +856,12 @@ class ColumnarSimulation(Simulation):
         self._view_dirty = False
         self._poisoned = False
         self.sync_count += 1
+
+    def migrate(self, task: Task, destination):
+        record = super().migrate(task, destination)
+        if not record.failed:
+            self._migrated.append(task)
+        return record
 
     def set_allocation(self, task: Task, pus: float) -> None:
         self._grant_inputs_dirty = True
@@ -918,173 +963,238 @@ class ColumnarSimulation(Simulation):
 
     # -- epoch construction -------------------------------------------------------
     def _build_epoch(self) -> _Epoch:
-        # The columns below are seeded from the object view; flush any
-        # state the previous epoch still held (placement.version bumps
-        # reach here without passing invalidate_task_cache).
-        self.sync()
         placement = self.placement
-        chip = self.chip
         dt = self.config.dt
         ep = _Epoch()
         ep.version = placement.version
         ep.dt = dt
-
+        # Rows follow the cores in chip order and each core's tasks in
+        # placement order: the per-core folds and the load dict's
+        # insertion order depend on it.
         tasks: List[Task] = []
-        core_ix: List[int] = []
-        core_bounds: List[Tuple[int, int]] = []
+        counts: List[int] = []
         cores = []
-        clusters = list(chip.clusters)
-        cluster_index = {id(cl): j for j, cl in enumerate(clusters)}
         cluster_ix: List[int] = []
-        for cluster in clusters:
+        clusters = list(self.chip.clusters)
+        for j, cluster in enumerate(clusters):
             for core in cluster.cores:
-                j = len(cores)
+                on_core = placement.iter_tasks_on_core(core)
                 cores.append(core)
-                cluster_ix.append(cluster_index[id(cluster)])
-                s = len(tasks)
-                for t in placement.iter_tasks_on_core(core):
-                    tasks.append(t)
-                    core_ix.append(j)
-                core_bounds.append((s, len(tasks)))
+                cluster_ix.append(j)
+                counts.append(len(on_core))
+                tasks.extend(on_core)
         n = len(tasks)
         ep.tasks = tasks
-        ep.rowmap = {t: i for i, t in enumerate(tasks)}
+        ep.rowmap = dict(zip(tasks, range(n)))
         ep.cores = cores
         ep.ncores = len(cores)
-        ep.core_ix = np.asarray(core_ix, dtype=np.intp)
-        ep.core_bounds = core_bounds
+        ep.core_ix = np.repeat(np.arange(len(cores), dtype=np.intp), counts)
+        ep.core_counts = np.asarray(counts, dtype=float)
         ep.clusters = clusters
         ep.cluster_ix = np.asarray(cluster_ix, dtype=np.intp)
         ep.n = n
 
-        # Permutation fast path: when the previous epoch covers exactly
-        # this population (the usual migration rebuild -- version bumps
-        # reach here with the same tasks on different cores), every
-        # task-invariant column is a row gather from the old epoch, and
-        # the mutable columns were just flushed by the sync() above so
-        # they equal the object attributes bit for bit.  Out-of-band
-        # mutators go through invalidate_task_cache, which clears
-        # ``_epoch`` and forces the slow seed-from-objects walk.
+        # A placement change that keeps the population (one LBT move, or
+        # several) only reorders the rows.  Out-of-band mutators go
+        # through invalidate_task_cache, which clears ``_epoch`` and
+        # forces the seed-from-objects walk.
         old = self._epoch
-        perm: Optional["np.ndarray"] = None
-        if old is not None and old.n == n and n:
+        if old is not None and old.n == n and old.dt == dt and n:
             try:
-                perm = np.asarray([old.rowmap[t] for t in tasks], dtype=np.intp)
-            except KeyError:
-                perm = None
-
-        if perm is not None:
-            ep.start = old.start[perm]
-            ep.end = old.end[perm]
-        else:
-            ep.start = np.fromiter(
-                (t.start_time for t in tasks), dtype=float, count=n
-            )
-            ep.end = np.fromiter(
-                (
-                    t.start_time + t.duration if t.duration is not None else math.inf
-                    for t in tasks
-                ),
-                dtype=float,
-                count=n,
-            )
-        ep.max_start = float(ep.start.max()) if n else 0.0
-        ep.min_end = float(ep.end.min()) if n else math.inf
-        # ``frozen_until`` writers (migration, snapshot restore) always
-        # invalidate the epoch, so the horizon is fixed for its lifetime.
-        ep.fz_max = max((t.frozen_until for t in tasks), default=0.0)
-        ep.core_counts = np.asarray([e - s for s, e in core_bounds], dtype=float)
-        if perm is not None:
-            ep.tgt_hr = old.tgt_hr[perm]
-            ep.has_limit = old.has_limit[perm]
-            ep.limit = old.limit[perm]
-            ep.lo = old.lo[perm]
-            ep.hi = old.hi[perm]
-            # cost_pu_s_per_beat depends on the hosting core type only:
-            # gather, then recompute just the rows whose type changed
-            # (normally the one migrated task).
-            ep.cost_base = old.cost_base[perm]
-            type_ix: Dict[int, int] = {}
-
-            def _tix(ct: object) -> int:
-                v = type_ix.get(id(ct))
-                if v is None:
-                    v = type_ix[id(ct)] = len(type_ix)
-                return v
-
-            old_ct = np.asarray(
-                [_tix(c.cluster.core_type) for c in old.cores], dtype=np.intp
-            )
-            new_ct = np.asarray(
-                [_tix(c.cluster.core_type) for c in cores], dtype=np.intp
-            )
-            retype = np.nonzero(old_ct[old.core_ix[perm]] != new_ct[ep.core_ix])[0]
-            for i in retype.tolist():
-                t = tasks[i]
-                ep.cost_base[i] = t.profile.cost_pu_s_per_beat(
-                    cores[core_ix[i]].cluster.core_type, 1.0
+                perm = np.fromiter(
+                    map(old.rowmap.__getitem__, tasks), dtype=np.intp, count=n
                 )
-        else:
-            ep.tgt_hr = np.fromiter(
-                (t.target_hr for t in tasks), dtype=float, count=n
-            )
-            cost_base: List[float] = []
-            has_limit: List[bool] = []
-            limit: List[float] = []
-            lo: List[float] = []
-            hi: List[float] = []
-            rel_eps = 1e-9  # HeartRateRange._REL_EPS, inlined like metrics.record
-            for i, t in enumerate(tasks):
-                core_type = cores[core_ix[i]].cluster.core_type
-                cost_base.append(t.profile.cost_pu_s_per_beat(core_type, 1.0))
-                wl = t.profile.work_limit_factor
-                has_limit.append(wl is not None)
-                limit.append(wl if wl is not None else 0.0)
-                rng = t.hr_range
-                lo.append(rng.min_hr * (1.0 - rel_eps))
-                hi.append(rng.max_hr * (1.0 + rel_eps))
-            ep.cost_base = np.asarray(cost_base, dtype=float)
-            ep.has_limit = np.asarray(has_limit, dtype=bool)
-            ep.limit = np.asarray(limit, dtype=float)
-            ep.lo = np.asarray(lo, dtype=float)
-            ep.hi = np.asarray(hi, dtype=float)
-        ep.any_limit = bool(ep.has_limit.any())
+            except KeyError:
+                pass
+            else:
+                return self._permute_epoch(ep, old, perm)
+        return self._seed_epoch(ep)
 
-        # Mutable state columns, initialised from the authoritative
-        # attributes (write-back keeps the two views identical).  After
-        # the sync() barrier above, the previous epoch's columns equal
-        # the attributes exactly, so the permuted gather is the same
-        # seed without the per-task attribute walk.
-        if perm is not None:
-            ep.beats = old.beats[perm]
-            ep.work = old.work[perm]
-            ep.sup = old.sup[perm]
-            ep.con = old.con[perm]
+    def _permute_epoch(self, ep: _Epoch, old: _Epoch, perm: "np.ndarray") -> _Epoch:
+        """The outgoing epoch's tasks in new rows: row ``i`` was ``perm[i]``.
+
+        The outgoing columns are authoritative, so every column is a row
+        gather from them and keeps its dirty stamp: no barrier runs.  The
+        heart-rate rings are permuted in place, and only the monitor views
+        whose row moved are re-pointed.  Every task's monitor is a view
+        on the outgoing rings at its old row, because a monitor is only
+        replaced together with ``invalidate_task_cache``.
+        """
+        n = ep.n
+        tasks = ep.tasks
+        cores = ep.cores
+        for name in _ROW_COLUMNS:
+            setattr(ep, name, getattr(old, name)[perm])
+        # cost_pu_s_per_beat depends on the hosting core type only:
+        # recompute just the rows whose type changed (normally the one
+        # migrated task).
+        type_ix: Dict[int, int] = {}
+
+        def _tix(ct: object) -> int:
+            v = type_ix.get(id(ct))
+            if v is None:
+                v = type_ix[id(ct)] = len(type_ix)
+            return v
+
+        old_ct = np.asarray([_tix(c.cluster.core_type) for c in old.cores], dtype=np.intp)
+        new_ct = np.asarray([_tix(c.cluster.core_type) for c in cores], dtype=np.intp)
+        core_ix = ep.core_ix
+        retype = np.nonzero(old_ct[old.core_ix[perm]] != new_ct[core_ix])[0]
+        for i in retype.tolist():
+            ep.cost_base[i] = tasks[i].profile.cost_pu_s_per_beat(
+                cores[core_ix[i]].cluster.core_type, 1.0
+            )
+        # Migrations are the only ``frozen_until`` writers between
+        # rebuilds (snapshot restore reseeds).
+        rowmap = ep.rowmap
+        for t in self._migrated:
+            ep.fz[rowmap[t]] = t.frozen_until
+        self._summarise_rows(ep)
+
+        inv = np.empty(n, dtype=np.intp)
+        inv[perm] = np.arange(n, dtype=np.intp)
+        self._remap_phase_groups(ep, old, perm, inv, n)
+        ep.mult_buf = np.empty(n, dtype=float)
+
+        rings = old.rings
+        moved = np.flatnonzero(perm != np.arange(n, dtype=np.intp))
+        if moved.size:
+            rings.permute(perm, int(moved[0]), int(moved[-1]) + 1)
+            for i in moved.tolist():
+                tasks[i].hrm._row = i
+        ep.rings = rings
+
+        # The population is unchanged, and ``self.tasks`` only changes
+        # through invalidate_task_cache, so coverage carries over and the
+        # metrics permutation composes with the row remap:
+        # perm'[i] = rowmap'[tasks_pop[i]] = inv[old.perm[i]].
+        ep.covers_all = old.covers_all
+        if ep.covers_all:
+            ep.perm = inv[old.perm]
+            ep.perm_names = old.perm_names
+            self._set_metrics_bounds(ep)
         else:
-            ep.beats = np.fromiter(
-                (t.total_beats for t in tasks), dtype=float, count=n
-            )
-            ep.work = np.fromiter(
-                (t.total_work_pu_s for t in tasks), dtype=float, count=n
-            )
-            ep.sup = np.fromiter(
-                (t.last_supply_pus for t in tasks), dtype=float, count=n
-            )
-            ep.con = np.fromiter(
-                (t.last_consumed_pus for t in tasks), dtype=float, count=n
-            )
+            self._clear_metrics_perm(ep)
+        cache = self._gather_cache
+        if cache is not None and cache[1] is old:
+            self._gather_cache = (cache[0], ep, inv[cache[2]])
+        return self._seal_epoch(ep, clean=False)
+
+    def _seed_epoch(self, ep: _Epoch) -> _Epoch:
+        """Seed every column of ``ep`` from the object view."""
+        # Flush whatever the outgoing epoch still holds first.
+        self.sync()
+        n = ep.n
+        tasks = ep.tasks
+        cores = ep.cores
+        core_ix = ep.core_ix.tolist()
+        ep.start = np.fromiter((t.start_time for t in tasks), dtype=float, count=n)
+        ep.end = np.fromiter(
+            (
+                t.start_time + t.duration if t.duration is not None else math.inf
+                for t in tasks
+            ),
+            dtype=float,
+            count=n,
+        )
+        ep.tgt_hr = np.fromiter((t.target_hr for t in tasks), dtype=float, count=n)
+        cost_base: List[float] = []
+        has_limit: List[bool] = []
+        limit: List[float] = []
+        lo: List[float] = []
+        hi: List[float] = []
+        rel_eps = 1e-9  # HeartRateRange._REL_EPS, inlined like metrics.record
+        for i, t in enumerate(tasks):
+            core_type = cores[core_ix[i]].cluster.core_type
+            cost_base.append(t.profile.cost_pu_s_per_beat(core_type, 1.0))
+            wl = t.profile.work_limit_factor
+            has_limit.append(wl is not None)
+            limit.append(wl if wl is not None else 0.0)
+            rng = t.hr_range
+            lo.append(rng.min_hr * (1.0 - rel_eps))
+            hi.append(rng.max_hr * (1.0 + rel_eps))
+        ep.cost_base = np.asarray(cost_base, dtype=float)
+        ep.has_limit = np.asarray(has_limit, dtype=bool)
+        ep.limit = np.asarray(limit, dtype=float)
+        ep.lo = np.asarray(lo, dtype=float)
+        ep.hi = np.asarray(hi, dtype=float)
+        # Mutable state columns, initialised from the attributes the
+        # barrier above just made current.
+        ep.beats = np.fromiter((t.total_beats for t in tasks), dtype=float, count=n)
+        ep.work = np.fromiter((t.total_work_pu_s for t in tasks), dtype=float, count=n)
+        ep.sup = np.fromiter((t.last_supply_pus for t in tasks), dtype=float, count=n)
+        ep.con = np.fromiter((t.last_consumed_pus for t in tasks), dtype=float, count=n)
         tracked = self.load_tracker._load
         ep.load = np.fromiter((tracked.get(t, 0.0) for t in tasks), dtype=float, count=n)
         ep.has_load = np.fromiter((t in tracked for t in tasks), dtype=bool, count=n)
+        ep.fz = np.fromiter((t.frozen_until for t in tasks), dtype=float, count=n)
+        self._summarise_rows(ep)
+        self._group_phases(ep)
 
-        # Phase traces: group rows by trace type for vector evaluation;
-        # anything else (piecewise, custom) evaluates per task.
-        if perm is not None:
-            inv = np.empty(n, dtype=np.intp)
-            inv[perm] = np.arange(n, dtype=np.intp)
-            self._remap_phase_groups(ep, old, perm, inv, n)
-            ep.mult_buf = np.empty(n, dtype=float)
-            return self._finish_epoch(ep, tasks, n, dt, old=old, inv=inv)
+        # Heart-rate monitors: adopt plain monitors (and re-adopt views
+        # from a previous epoch) into fresh rings.  Views re-adopt via a
+        # ring-to-ring array gather; plain monitors round-trip through
+        # their sample deques.
+        dt = ep.dt
+        windows: List[float] = [1.0] * n
+        samples: List[Sequence[Tuple[float, float]]] = [()] * n
+        col_src: List[Tuple[int, _HRMRings, int]] = []
+        for i, t in enumerate(tasks):
+            hrm = t.hrm
+            if type(hrm) is ColumnarHRM:
+                # window comes from the source ring, gathered in adopt()
+                col_src.append((i, hrm._rings, hrm._row))
+            else:
+                windows[i] = hrm.window_s
+                samples[i] = tuple(hrm._samples)
+        if col_src:
+            ep.rings = _HRMRings.adopt(windows, samples, col_src, dt)
+        else:
+            ep.rings = _HRMRings(windows, samples, dt)
+        for i, t in enumerate(tasks):
+            t.hrm = ColumnarHRM(ep.rings, i)
+
+        # Metrics permutation: store rows in population order, usable
+        # whenever the tick's active list is the population itself.
+        ep.covers_all = n == len(self.tasks) and all(t in ep.rowmap for t in self.tasks)
+        if ep.covers_all:
+            ep.perm = np.asarray([ep.rowmap[t] for t in self.tasks], dtype=np.intp)
+            ep.perm_names = tuple(t.name for t in self.tasks)
+            self._set_metrics_bounds(ep)
+        else:
+            self._clear_metrics_perm(ep)
+        return self._seal_epoch(ep, clean=True)
+
+    @staticmethod
+    def _summarise_rows(ep: _Epoch) -> None:
+        """Per-epoch scalars the dispatch gates read off the row columns."""
+        n = ep.n
+        ep.any_limit = bool(ep.has_limit.any())
+        ep.max_start = float(ep.start.max()) if n else 0.0
+        ep.min_end = float(ep.end.min()) if n else math.inf
+        ep.fz_max = float(ep.fz.max()) if n else 0.0
+
+    @staticmethod
+    def _set_metrics_bounds(ep: _Epoch) -> None:
+        ep.perm_identity = bool((ep.perm == np.arange(ep.n, dtype=np.intp)).all())
+        ep.perm_lo = ep.lo if ep.perm_identity else ep.lo[ep.perm]
+        ep.perm_hi = ep.hi if ep.perm_identity else ep.hi[ep.perm]
+
+    @staticmethod
+    def _clear_metrics_perm(ep: _Epoch) -> None:
+        ep.perm = None
+        ep.perm_names = None
+        ep.perm_identity = False
+        ep.perm_lo = None
+        ep.perm_hi = None
+
+    @staticmethod
+    def _group_phases(ep: _Epoch) -> None:
+        """Group rows by phase-trace type for vector evaluation.
+
+        Anything else (piecewise, custom) evaluates per task.
+        """
+        n = ep.n
         const_rows: List[int] = []
         const_vals: List[float] = []
         sin_rows: List[int] = []
@@ -1092,7 +1202,7 @@ class ColumnarSimulation(Simulation):
         sqw_rows: List[int] = []
         sqw_p: List[Tuple[float, float, float, float, float, float]] = []
         ph_py: List[Tuple[int, Task]] = []
-        for i, t in enumerate(tasks):
+        for i, t in enumerate(ep.tasks):
             ph = t.profile.phases
             tp = type(ph)
             if tp is ConstantPhase:
@@ -1152,7 +1262,6 @@ class ColumnarSimulation(Simulation):
             ep.ph_sqw_start = ep.ph_sqw_per = ep.ph_sqw_lo = None
             ep.ph_sqw_hi = ep.ph_sqw_duty = ep.ph_sqw_off = None
         ep.mult_buf = np.empty(n, dtype=float)
-        return self._finish_epoch(ep, tasks, n, dt)
 
     def _remap_phase_groups(
         self, ep: _Epoch, old: _Epoch, perm: "np.ndarray", inv: "np.ndarray", n: int
@@ -1214,92 +1323,13 @@ class ColumnarSimulation(Simulation):
             ep.ph_sqw_start = ep.ph_sqw_per = ep.ph_sqw_lo = None
             ep.ph_sqw_hi = ep.ph_sqw_duty = ep.ph_sqw_off = None
 
-    def _finish_epoch(
-        self,
-        ep: _Epoch,
-        tasks: List[Task],
-        n: int,
-        dt: float,
-        old: Optional[_Epoch] = None,
-        inv: Optional["np.ndarray"] = None,
-    ) -> _Epoch:
-        # Heart-rate monitors: adopt plain monitors (and re-adopt views
-        # from a previous epoch) into shared rings.  Views re-adopt via a
-        # ring-to-ring array gather; plain monitors round-trip through
-        # their sample deques.
-        windows: List[float] = [1.0] * n
-        samples: List[Sequence[Tuple[float, float]]] = [()] * n
-        col_src: List[Tuple[int, _HRMRings, int]] = []
-        for i, t in enumerate(tasks):
-            hrm = t.hrm
-            if type(hrm) is ColumnarHRM:
-                # window comes from the source ring, gathered in adopt()
-                col_src.append((i, hrm._rings, hrm._row))
-            else:
-                windows[i] = hrm.window_s
-                samples[i] = tuple(hrm._samples)
-        steal = False
-        if col_src:
-            # Identity steal: a pure placement change keeps the task list
-            # (and hence the row order) intact, so when every row's view
-            # points at the outgoing epoch's rings in row order and the
-            # tick length is unchanged, those rings are already this
-            # epoch's rings -- adopt them wholesale.  The old epoch is
-            # discarded on seal, so the arrays have a single owner.
-            ring0 = old.rings if old is not None and old.dt == dt else None
-            if (
-                ring0 is not None
-                and len(col_src) == n
-                and all(
-                    src is ring0 and row == i for i, src, row in col_src
-                )
-            ):
-                ep.rings = ring0
-                steal = True
-            else:
-                ep.rings = _HRMRings.adopt(windows, samples, col_src, dt)
-        else:
-            ep.rings = _HRMRings(windows, samples, dt)
-        if not steal:
-            # Stolen rings leave every task's existing view valid (same
-            # rings object, same row); fresh rings need rebinding.
-            for i, t in enumerate(tasks):
-                t.hrm = ColumnarHRM(ep.rings, i)
+    def _seal_epoch(self, ep: _Epoch, clean: bool) -> _Epoch:
+        """Reset the lazily-derived members and install the epoch.
 
-        # Metrics permutation: store rows in population order, usable
-        # whenever the tick's active list is the population itself.
-        # Against a same-population previous epoch, the new permutation
-        # composes the old one with the row remap (self.tasks can only
-        # change through invalidate_task_cache, which drops the epoch):
-        # perm'[i] = rowmap'[tasks_pop[i]] = inv[old.perm[i]].
-        if old is not None and inv is not None and old.covers_all and len(self.tasks) == n:
-            ep.covers_all = True
-            ep.perm = inv[old.perm]
-            ep.perm_names = old.perm_names
-            ep.perm_identity = bool(
-                (ep.perm == np.arange(n, dtype=np.intp)).all()
-            )
-            ep.perm_lo = ep.lo if ep.perm_identity else ep.lo[ep.perm]
-            ep.perm_hi = ep.hi if ep.perm_identity else ep.hi[ep.perm]
-            return self._seal_epoch(ep, n)
-        ep.covers_all = n == len(self.tasks) and all(t in ep.rowmap for t in self.tasks)
-        if ep.covers_all:
-            ep.perm = np.asarray([ep.rowmap[t] for t in self.tasks], dtype=np.intp)
-            ep.perm_names = tuple(t.name for t in self.tasks)
-            ep.perm_identity = bool((ep.perm == np.arange(n, dtype=np.intp)).all())
-            ep.perm_lo = ep.lo if ep.perm_identity else ep.lo[ep.perm]
-            ep.perm_hi = ep.hi if ep.perm_identity else ep.hi[ep.perm]
-        else:
-            ep.perm = None
-            ep.perm_names = None
-            ep.perm_identity = False
-            ep.perm_lo = None
-            ep.perm_hi = None
-        return self._seal_epoch(ep, n)
-
-    def _seal_epoch(self, ep: _Epoch, n: int) -> _Epoch:
-        """Reset the lazily-derived members and install the epoch."""
-        ep.all_has_load = n > 0 and bool(ep.has_load.all())
+        ``clean``: the columns were seeded from the object view, so no
+        column is ahead of it.  A permuted epoch keeps the dirty stamps.
+        """
+        ep.all_has_load = ep.n > 0 and bool(ep.has_load.all())
         ep.alloc_has = None
         ep.alloc_val = None
         ep.weight_val = None
@@ -1317,9 +1347,10 @@ class ColumnarSimulation(Simulation):
         self._grant_inputs_dirty = True
         self._hr_cache = None
         self._hr_stamp = -1
-        # Fresh columns == object view: the epoch starts clean.
-        self._col_synced.update(self._col_dirty)
-        self._view_dirty = False
+        if clean:
+            self._col_synced.update(self._col_dirty)
+            self._view_dirty = False
+        self._migrated.clear()
         self._epoch = ep
         return ep
 
@@ -1350,20 +1381,20 @@ class ColumnarSimulation(Simulation):
         # (and re-write sup/con) on the next hot tick.
         ep.g_key = None
 
-        # Rare tick (arrival/retire/freeze window): write every attribute
-        # through, as the object loop does.  The barrier first flushes
-        # whatever the fast path deferred -- in particular load-dict
-        # values of rows inactive this tick, which the masked update
-        # below would otherwise leave stale.
-        self.sync()
-
         active = (now >= ep.start) & (now < ep.end)
-        # ``frozen_until`` is authoritative on the task (migrations and
-        # tests write it directly), so gather it fresh each tick.
-        fz = np.fromiter((t.frozen_until for t in ep.tasks), dtype=float, count=n)
-        frozen = active & (fz > now)
+        frozen = active & (ep.fz > now)
         runnable = active & ~frozen
         inactive_mapped = not bool(active.all())
+        # A freeze window alone (a migration's tick) touches every row
+        # and inserts no load-dict key, so the object view can wait for
+        # the barrier, as on the fast path.  Otherwise (arrival, retire)
+        # write every attribute through, as the object loop does.  The
+        # barrier first flushes whatever was deferred -- in particular
+        # load-dict values of rows inactive this tick, which the masked
+        # update below would otherwise leave stale.
+        defer = not inactive_mapped and ep.all_has_load
+        if not defer:
+            self.sync()
 
         # Demand at ``now`` (same expression chain as Task.consume).
         mult = ep.multipliers(now)
@@ -1442,34 +1473,42 @@ class ColumnarSimulation(Simulation):
         prev = np.where(ep.has_load, ep.load, inst)
         np.copyto(ep.load, decay * prev + (1.0 - decay) * inst, where=active)
         ep.has_load |= active
-        any_frozen = bool(frozen.any())
-        if any_frozen:
-            order = ep.ordered_rows(runnable, frozen)
-        else:
-            order = np.nonzero(active)[0].tolist()
         tasks = ep.tasks
-        loads = ep.load
-        self.load_tracker.update_many(
-            (tasks[i], v) for i, v in zip(order, loads[order].tolist())
-        )
+        if not defer:
+            if bool(frozen.any()):
+                order = ep.ordered_rows(active, frozen)
+            else:
+                order = np.nonzero(active)[0].tolist()
+            loads = ep.load
+            self.load_tracker.update_many(
+                (tasks[i], v) for i, v in zip(order, loads[order].tolist())
+            )
 
         # Heartbeats: both runnable and frozen rows record; inactive
         # mapped tasks do not.
         act = np.nonzero(active)[0]
         ep.rings.append_many(act, now + dt, ep.beats[act])
 
-        # Write-through: the task attributes stay authoritative, so the
-        # epoch is a pure cache and every out-of-band reader/mutator
-        # (faults, snapshots, admission, tests) keeps working unchanged.
-        bl = ep.beats.tolist()
-        wl = ep.work.tolist()
-        sl = ep.sup.tolist()
-        cl = ep.con.tolist()
-        for t, tb, tw, ts, tc in zip(tasks, bl, wl, sl, cl):
-            t.total_beats = tb
-            t.total_work_pu_s = tw
-            t.last_supply_pus = ts
-            t.last_consumed_pus = tc
+        if defer:
+            dirty = self._col_dirty
+            ti = self.tick_index + 1
+            for col in dirty:
+                dirty[col] = ti
+            self._view_dirty = True
+            self._poison_view(tasks)
+        else:
+            # Write-through: the task attributes stay authoritative, so
+            # every out-of-band reader/mutator (faults, snapshots,
+            # admission, tests) keeps working unchanged.
+            bl = ep.beats.tolist()
+            wl = ep.work.tolist()
+            sl = ep.sup.tolist()
+            cl = ep.con.tolist()
+            for t, tb, tw, ts, tc in zip(tasks, bl, wl, sl, cl):
+                t.total_beats = tb
+                t.total_work_pu_s = tw
+                t.last_supply_pus = ts
+                t.last_consumed_pus = tc
 
         # Active tasks not mapped to any core idle in place (same scan
         # condition as the object engine).
@@ -1478,6 +1517,17 @@ class ColumnarSimulation(Simulation):
             for task in active_list:
                 if not placement.is_placed(task):
                     task.idle_tick(now, dt)
+
+    def _poison_view(self, tasks: List[Task]) -> None:
+        """Under :attr:`poison`, trap reads of the attributes a barrier owes."""
+        if self.poison and not self._poisoned:
+            pb, pw, ps, pc = _POISONS
+            for t in tasks:
+                t.total_beats = pb
+                t.total_work_pu_s = pw
+                t.last_supply_pus = ps
+                t.last_consumed_pus = pc
+            self._poisoned = True
 
     def _grants_all(self, ep: _Epoch, sup_core: "np.ndarray") -> "np.ndarray":
         """compute_grants over every core with all mapped tasks runnable.
@@ -1635,14 +1685,7 @@ class ColumnarSimulation(Simulation):
         ti = self.tick_index + 1
         dirty["beats"] = dirty["work"] = ti
         self._view_dirty = True
-        if self.poison and not self._poisoned:
-            pb, pw, ps, pc = _POISONS
-            for t in tasks:
-                t.total_beats = pb
-                t.total_work_pu_s = pw
-                t.last_supply_pus = ps
-                t.last_consumed_pus = pc
-            self._poisoned = True
+        self._poison_view(tasks)
 
         active_list = self._active_now()
         placement = self.placement

@@ -1,5 +1,6 @@
 """Checkpoint-at-T + resume must equal the uninterrupted run, bit for bit."""
 
+import json
 import os
 
 import pytest
@@ -8,7 +9,9 @@ from repro.checkpoint import (
     CheckpointFingerprintError,
     CheckpointManager,
     SnapshotRestoreError,
+    restore_simulation,
     resume_from,
+    snapshot_simulation,
     tick_records,
 )
 from repro.experiments.campaigns import (
@@ -95,6 +98,44 @@ class TestResumeIdentity:
         sim, _ = resume_from(midpoint, lambda: build_sim(governor=governor))
         sim.run(DURATION_S - sim.now)
         assert tick_records(sim.metrics) == tick_records(baseline.metrics)
+
+
+def _late_start_sim():
+    """l1 at 8 W with ``l1.blackscholes_l`` placed before it starts."""
+    chip = tc2_chip()
+    tasks = build_workload("l1")
+    late = tasks[-1]
+    late.start_time = 0.01
+    sim = Simulation(
+        chip,
+        tasks,
+        make_governor("PPM", power_cap_w=8.0),
+        config=SimConfig(seed=5),
+    )
+    sim.place(late, chip.core("big.0"))
+    return sim
+
+
+class TestRestoreBeforeStart:
+    def test_restore_before_a_start_matches_uninterrupted(self):
+        """A snapshot taken before a placed task starts restores exactly.
+
+        Restore rebuilds PPM's market mirror, so the mirror of the run
+        it continues must follow the task's start as well.
+        """
+        baseline = _late_start_sim()
+        for _ in range(60):
+            baseline.step()
+        sim = _late_start_sim()
+        sim.step()
+        payload = snapshot_simulation(sim)
+        sim = _late_start_sim()
+        restore_simulation(sim, payload)
+        for _ in range(59):
+            sim.step()
+        assert json.dumps(tick_records(sim.metrics)) == json.dumps(
+            tick_records(baseline.metrics)
+        )
 
 
 class TestResumeRefusals:

@@ -61,6 +61,29 @@ class TestMarketWiring:
         retired = [t for t in sim.tasks if not t.is_active(sim.now)]
         assert retired and any(t.migrations for t in retired)
 
+    def test_task_placed_before_its_start_joins_when_it_starts(self):
+        """The mirror follows task starts, not only placement changes.
+
+        ``l1.blackscholes_l`` is placed on ``big.0`` before tick 0 and
+        starts at 0.01 s, so its start moves no placement version: it
+        must join at the first bid period after it, the one of tick 4.
+        """
+        chip = tc2_chip()
+        tasks = build_workload("l1")
+        late = tasks[-1]
+        assert late.name == "l1.blackscholes_l"
+        late.start_time = 0.01
+        gov = PPMGovernor(PPMConfig(market=MarketConfig(wtdp=8.0)))
+        sim = Simulation(chip, tasks, gov, config=SimConfig(seed=5))
+        sim.place(late, chip.core("big.0"))
+        joined = None
+        for tick in range(30):
+            sim.step()
+            if joined is None and late.name in gov.market.tasks:
+                joined = tick
+        assert joined == 4
+        assert gov.market.core_of(late.name) == "big.0"
+
     def test_placement_synced_into_market(self):
         task = make_task("swaptions", "l")
         sim, gov = make_sim([task])

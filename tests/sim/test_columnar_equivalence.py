@@ -15,6 +15,9 @@ at any task count.  These tests hold the engine to that promise two ways:
   pinned shape where tasks arrive mid-run and retire;
 * tasks off the dispatch map: active tasks left unplaced while every
   cluster is hot-unplugged, and a task placed before it starts;
+* populations of 96 and 128 tasks under PPM at 4 W, where the vector
+  market and LBT run and every move permutes the columnar epoch, plain
+  and with a hotplug or a migration-fail window;
 * hypothesis-generated configurations sweeping task mixes, governors,
   sensor noise, thermal tracking and estimated-power operation, so any
   columnar fast path that is only exercised under an odd combination
@@ -43,7 +46,7 @@ from repro.tasks import ArrivalStream, build_workload, random_tasks
 
 
 def _build(engine, *, workload, governor, seed, noise_w, fault, duration_s,
-           thermal=None, estimation=None, power_cap_w=10.0):
+           thermal=None, estimation=None, power_cap_w=10.0, window=None):
     chip = tc2_chip()
     tasks = (
         random_tasks(workload[1], seed=workload[2])
@@ -68,6 +71,9 @@ def _build(engine, *, workload, governor, seed, noise_w, fault, duration_s,
             CAMPAIGN_FAULTS[fault], duration_s + 6.0, 1.0, 0.4, chip
         )
         FaultInjector(sim, schedule).attach()
+    if window is not None:
+        kind, start_s, length_s, target = window
+        FaultInjector(sim, single_fault(kind, start_s, length_s, target=target)).attach()
     sim.run(duration_s)
     return sim
 
@@ -242,7 +248,7 @@ class TestOffMapEquivalence:
 
 
 class TestManyTasksEquivalence:
-    """The perf-bench shape itself: random task mixes at several sizes."""
+    """Random task mixes at several sizes, with and without LBT moves."""
 
     @pytest.mark.parametrize("n", [4, 17, 50])
     def test_random_mix(self, n):
@@ -251,6 +257,37 @@ class TestManyTasksEquivalence:
         obj = _build(ObjectSimulation, **kw)
         col = _build(ColumnarSimulation, **kw)
         _assert_equivalent(obj, col, "random/n=%d" % n)
+
+
+# Shapes where the vector market and LBT run and tasks move, so the
+# columnar loop permutes its epoch: (tasks, task seed, fault window,
+# moves executed, failed migrations).  The counts pin that each shape
+# still moves what it did when it was chosen.
+MOVING_SHAPES = [
+    (128, 5, None, 30, 0),
+    (96, 2, (FaultKind.HOTPLUG, 2.0, 1.0, "big"), 22, 12),
+    (96, 4, (FaultKind.MIGRATION_FAIL, 1.0, 2.0, None), 11, 37),
+]
+
+
+class TestMovingPopulationEquivalence:
+    """PPM at 4 W for 6 s on populations the LBT keeps moving."""
+
+    @pytest.mark.parametrize(
+        "n,task_seed,window,moves,failed",
+        MOVING_SHAPES,
+        ids=["128", "96-hotplug", "96-migration-fail"],
+    )
+    def test_engines_agree_through_moves(self, n, task_seed, window, moves, failed):
+        kw = dict(workload=("random", n, task_seed), governor="PPM", seed=task_seed,
+                  noise_w=0.0, fault=None, duration_s=6.0, power_cap_w=4.0,
+                  window=window)
+        obj = _build(ObjectSimulation, **kw)
+        col = _build(ColumnarSimulation, **kw)
+        _assert_equivalent(obj, col, "random/n=%d/seed=%d" % (n, task_seed))
+        for sim in (obj, col):
+            assert sim.governor.moves_executed == moves
+            assert sim.failed_migrations == failed
 
 
 # Hypothesis sweep.  Short runs keep each example cheap; the space still
