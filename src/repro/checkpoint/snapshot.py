@@ -578,7 +578,6 @@ def restore_simulation(sim, payload: Dict[str, Any]) -> None:
     # The first-tick prepare already ran in the checkpointed run; mark it
     # done and re-create the pieces that prepare would have attached.
     sim._prepared = True
-    sim.invalidate_task_cache()
     sim._maybe_attach_auditor()
     sim._last_audited_round = getattr(sim.governor, "last_round", None)
     thermal_state = payload.get("thermal")

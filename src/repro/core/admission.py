@@ -297,11 +297,9 @@ class AdmissionController:
         ]
         candidates.sort(key=lambda t: (t.priority, -t.start_time, t.name))
         for task in candidates[: self.config.sheds_per_check]:
-            task.duration = max(0.0, now - task.start_time)
+            sim.end_task(task)
             self.shed_tasks += 1
             self.shed_names.append(task.name)
-        if candidates:
-            sim.invalidate_task_cache()
 
     # -- admission ---------------------------------------------------------------
     def _admit(self, sim, manager, record: ArrivalRecord, degraded: bool) -> None:
@@ -479,9 +477,8 @@ class OverloadManager:
             qos_factor=qos_factor,
             hrm_window_s=self.stream.config.hrm_window_s,
         )
-        sim.tasks.append(task)
+        sim.add_task(task)
         self.spawned_tasks.append(task)
-        sim.invalidate_task_cache()
         self._spawn_log.append(
             {
                 "record": record.to_json_dict(),
@@ -511,9 +508,9 @@ class OverloadManager:
         """Rebuild the spawned task population of a checkpointed run.
 
         Must run *before* the snapshot's per-task progress state is
-        applied: it appends freshly materialised tasks to ``sim.tasks``
-        in the original spawn order so the restore's order-based zip
-        lines up.
+        applied: it adds freshly materialised tasks through
+        ``sim.add_task`` in the original spawn order so the restore's
+        order-based zip lines up.
         """
         if self.spawned_tasks:
             raise ValueError(
@@ -528,10 +525,9 @@ class OverloadManager:
                 hrm_window_s=self.stream.config.hrm_window_s,
             )
             task.duration = duration
-            sim.tasks.append(task)
+            sim.add_task(task)
             self.spawned_tasks.append(task)
             self._spawn_log.append(dict(entry))
-        sim.invalidate_task_cache()
 
     def restore_state(self, sim, state: Dict[str, object]) -> None:
         """Restore stream/controller state (tasks were re-materialised

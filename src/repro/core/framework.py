@@ -370,33 +370,32 @@ class PPMGovernor:
     def _mirror_sig(self, sim: Simulation) -> tuple:
         return (
             sim.placement.version,
-            len(sim.tasks),
             len(self.market.tasks),
             self._demand_cache_stamp,
-            sim._active_now(),
+            sim.active_tasks(),
         )
 
     def _mirror_current(self, sim: Simulation) -> bool:
         """Whether the last mirror pass still matches the engine.
 
-        The active list is compared by identity: the engine hands out a
-        new list at every task start and end, and ``==`` would walk it.
+        The active tuple is compared by identity: the engine hands out a
+        new one whenever the active tasks change, and ``==`` would walk it.
         """
         sig = self._market_sync_sig
         if sig is None:
             return False
         now = self._mirror_sig(sim)
-        return sig[4] is now[4] and sig[:4] == now[:4]
+        return sig[3] is now[3] and sig[:3] == now[:3]
 
     def _sync_tasks(self, sim: Simulation) -> None:
         """Mirror the engine's task population and placement in the market.
 
         Every membership or placement change that could desynchronise the
         mirror moves one of the signature components: arrivals/retires
-        and migrations bump ``placement.version``, spawns grow
-        ``sim.tasks``, task starts and ends replace the engine's active
-        list (a task placed before its start joins when it starts),
-        market membership edits move ``len(market.tasks)``, and
+        and migrations bump ``placement.version``, every change of the
+        active tasks (an addition, a start or an end) hands out a new
+        active tuple (a task placed before its start joins when it
+        starts), market membership edits move ``len(market.tasks)``, and
         out-of-band market mutations bump ``_demand_cache_stamp``.  A
         matching signature therefore means a full pass would be a no-op.
         """

@@ -31,13 +31,12 @@ and ``tests/sim/test_sync_barrier.py``):
   check, setting :attr:`ColumnarSimulation.poison` writes a sentinel to
   the view attributes between barriers, so an unsynchronised read raises
   :class:`PoisonedStateError` instead of returning a stale float.
-  Out-of-band *mutators* of hot attributes must still call
-  :meth:`Simulation.invalidate_task_cache` afterwards (which itself
-  syncs first), exactly as before.
+  The population changes only through :meth:`Simulation.add_task` and
+  :meth:`Simulation.end_task`, which sync and drop the epoch.
 * **Epoch caching.**  Per-task constant arrays (start/end times, QoS
   bounds, per-beat costs, phase parameters) are rebuilt only when the
-  placement mapping changes (:attr:`Placement.version`), the task set is
-  invalidated, or ``dt`` changes.  A rebuild that keeps the population
+  placement mapping changes (:attr:`Placement.version`), the population
+  changes, or ``dt`` changes.  A rebuild that keeps the population
   (an LBT move) permutes the outgoing epoch's rows, heart-rate rings
   included, and keeps its dirty stamps; any other rebuild re-seeds the
   columns from the object view, so a barrier precedes it.
@@ -798,13 +797,11 @@ class ColumnarSimulation(Simulation):
         self._view_dirty = False  # fast no-op check for sync()
         self._poisoned = False
 
-    # -- cache invalidation -------------------------------------------------------
-    def invalidate_task_cache(self) -> None:
-        # Out-of-band task mutation follows: materialise the view first so
-        # the mutation lands on current floats and the epoch rebuild
-        # re-seeds its columns from a consistent object graph.
+    # -- population changes -------------------------------------------------------
+    def _population_changed(self) -> None:
+        # Flush the view first: the next epoch re-seeds from the objects.
         self.sync()
-        super().invalidate_task_cache()
+        super()._population_changed()
         self._epoch = None
         self._grant_inputs_dirty = True
         self._hr_cache = None
@@ -932,7 +929,7 @@ class ColumnarSimulation(Simulation):
         ep = self._epoch
         if ep is None:
             return None
-        if tasks is self.tasks and ep.covers_all:
+        if tasks is self._tasks and ep.covers_all:
             if ep.perm_identity:
                 hr = self._heart_rates()
                 lo = ep.lo
@@ -995,9 +992,8 @@ class ColumnarSimulation(Simulation):
         ep.n = n
 
         # A placement change that keeps the population (one LBT move, or
-        # several) only reorders the rows.  Out-of-band mutators go
-        # through invalidate_task_cache, which clears ``_epoch`` and
-        # forces the seed-from-objects walk.
+        # several) only reorders the rows.  A population change clears
+        # ``_epoch`` and forces the seed-from-objects walk.
         old = self._epoch
         if old is not None and old.n == n and old.dt == dt and n:
             try:
@@ -1018,7 +1014,7 @@ class ColumnarSimulation(Simulation):
         heart-rate rings are permuted in place, and only the monitor views
         whose row moved are re-pointed.  Every task's monitor is a view
         on the outgoing rings at its old row, because a monitor is only
-        replaced together with ``invalidate_task_cache``.
+        replaced by a reseed.
         """
         n = ep.n
         tasks = ep.tasks
@@ -1064,9 +1060,9 @@ class ColumnarSimulation(Simulation):
                 tasks[i].hrm._row = i
         ep.rings = rings
 
-        # The population is unchanged, and ``self.tasks`` only changes
-        # through invalidate_task_cache, so coverage carries over and the
-        # metrics permutation composes with the row remap:
+        # The population is unchanged (add_task drops the epoch), so
+        # coverage carries over and the metrics permutation composes
+        # with the row remap:
         # perm'[i] = rowmap'[tasks_pop[i]] = inv[old.perm[i]].
         ep.covers_all = old.covers_all
         if ep.covers_all:
@@ -1155,7 +1151,7 @@ class ColumnarSimulation(Simulation):
             t.hrm = ColumnarHRM(ep.rings, i)
 
         # Metrics permutation: store rows in population order, usable
-        # whenever the tick's active list is the population itself.
+        # whenever the tick's active tuple is the population itself.
         ep.covers_all = n == len(self.tasks) and all(t in ep.rowmap for t in self.tasks)
         if ep.covers_all:
             ep.perm = np.asarray([ep.rowmap[t] for t in self.tasks], dtype=np.intp)
@@ -1366,7 +1362,7 @@ class ColumnarSimulation(Simulation):
         if n == 0:
             for core in ep.cores:
                 core.utilization = 0.0
-            active = self._active_now()
+            active = self.active_tasks()
             if active:  # placed_count() == 0 != len(active)
                 for task in active:
                     task.idle_tick(now, dt)
@@ -1512,7 +1508,7 @@ class ColumnarSimulation(Simulation):
 
         # Active tasks not mapped to any core idle in place (same scan
         # condition as the object engine).
-        active_list = self._active_now()
+        active_list = self.active_tasks()
         if inactive_mapped or placement.placed_count() != len(active_list):
             for task in active_list:
                 if not placement.is_placed(task):
@@ -1687,7 +1683,7 @@ class ColumnarSimulation(Simulation):
         self._view_dirty = True
         self._poison_view(tasks)
 
-        active_list = self._active_now()
+        active_list = self.active_tasks()
         placement = self.placement
         if placement.placed_count() != len(active_list):
             for task in active_list:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence
+from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Tuple
 
 from ..hw.energy import EnergyMeter
 from ..hw.migration import MigrationCostModel
@@ -51,6 +51,16 @@ def derive_stream_seed(seed: Optional[int], stream: str) -> Optional[int]:
         return None
     digest = hashlib.sha256(f"{seed}:{stream}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _unique_names(tasks: Tuple[Task, ...]) -> Tuple[Task, ...]:
+    """``tasks``, checked for a repeated name: tasks are keyed by name."""
+    seen = set()
+    for task in tasks:
+        if task.name in seen:
+            raise ValueError(f"duplicate task name {task.name!r}")
+        seen.add(task.name)
+    return tasks
 
 
 class Governor(Protocol):
@@ -161,7 +171,9 @@ class Simulation:
         migration_cost_model: Optional[MigrationCostModel] = None,
     ):
         self.chip = chip
-        self.tasks: List[Task] = list(tasks)
+        self._tasks: Tuple[Task, ...] = _unique_names(tuple(tasks))
+        # The tasks not yet ended, in ``tasks`` order: what a rescan walks.
+        self._live: List[Task] = list(self._tasks)
         self.governor = governor
         self.config = config or SimConfig()
         self.placement = Placement(chip)
@@ -182,14 +194,14 @@ class Simulation:
         self._allocations: Dict[Task, float] = {}
         self._weights: Dict[Task, float] = {}
         self._prepared = False
-        # The active task list, valid from its scan time until the activity
+        # The active tasks, valid from their scan time until the activity
         # horizon: the earliest later start or end of any task.
-        self._active_cache: List[Task] = []
+        self._active_cache: Tuple[Task, ...] = ()
         self._active_from = math.inf
         self._horizon = -math.inf
-        # The settled mark: the active list and placement version at which
+        # The settled mark: the active tuple and placement version at which
         # the mapped tasks were last found to be exactly the active ones.
-        self._settled_active: Optional[List[Task]] = None
+        self._settled_active: Optional[Tuple[Task, ...]] = None
         self._settled_version = -1
         self._gate_held_down: set = set()
         self._offline: set = set()
@@ -270,62 +282,68 @@ class Simulation:
     def dt(self) -> float:
         return self.config.dt
 
-    def active_tasks(self) -> List[Task]:
-        """Tasks alive at the current time."""
-        return list(self._active_now())
+    @property
+    def tasks(self) -> Tuple[Task, ...]:
+        """Every task added so far, in order; see :meth:`add_task`."""
+        return self._tasks
 
-    def _active_now(self) -> List[Task]:
-        """The active-task list (do not mutate).
+    def add_task(self, task: Task) -> None:
+        """Add ``task`` to the population (an arrival, or a restored one)."""
+        self._tasks = _unique_names(self._tasks + (task,))
+        self._live.append(task)
+        self._population_changed()
 
-        One scan serves every tick until ``now`` reaches the activity
-        horizon, and the list object stays the same until then.  When
-        every task is active the list is ``self.tasks`` itself.
+    def end_task(self, task: Task) -> None:
+        """End ``task`` now; a task that has already ended keeps its end."""
+        if task.duration is None or self.now < task.start_time + task.duration:
+            task.duration = max(0.0, self.now - task.start_time)
+            self._population_changed()
+
+    def _population_changed(self) -> None:
+        """Force a rescan: a changed active set breaks the settled mark."""
+        self._horizon = -math.inf
+
+    def active_tasks(self) -> Tuple[Task, ...]:
+        """Tasks alive now: the engine's tuple, the same object until the
+        activity horizon (the next task start or end) or a seam call, and
+        ``self.tasks`` itself when every task is active.
         """
         now = self.now
         if self._active_from <= now < self._horizon:
             return self._active_cache
         active = []
+        live = []
         horizon = math.inf
-        for task in self.tasks:
+        for task in self._live:
             # Task.is_active's tests; each bound it compares ``now``
             # against is a time at which the task's activity changes.
             start = task.start_time
             if now < start:
                 if start < horizon:
                     horizon = start
-                continue
-            duration = task.duration
-            if duration is not None:
-                end = start + duration
-                if now >= end:
-                    continue
-                if end < horizon:
-                    horizon = end
-            active.append(task)
-        if len(active) == len(self.tasks):
-            active = self.tasks
+            else:
+                duration = task.duration
+                if duration is not None:
+                    end = start + duration
+                    if now >= end:
+                        continue
+                    if end < horizon:
+                        horizon = end
+                active.append(task)
+            live.append(task)
+        self._live = live
+        active = self._tasks if len(active) == len(self._tasks) else tuple(active)
         self._active_cache = active
         self._active_from = now
         self._horizon = horizon
         return active
 
     def _settled_now(self) -> bool:
-        """Whether the settled mark holds for this tick's active list."""
+        """Whether the settled mark holds for this tick's active tuple."""
         return (
-            self._settled_active is self._active_now()
+            self._settled_active is self.active_tasks()
             and self._settled_version == self.placement.version
         )
-
-    def invalidate_task_cache(self) -> None:
-        """Drop the engine's task caches after out-of-band task mutation.
-
-        The active list is kept until the activity horizon, so every
-        change to ``sim.tasks`` and every mid-run edit of a task's
-        ``start_time`` or ``duration`` must be followed by this call
-        (arrivals, shedding and checkpoint restore make it).
-        """
-        self._horizon = -math.inf
-        self._settled_active = None
 
     def sync(self) -> None:
         """Materialise the object view of any column-resident hot state.
@@ -606,7 +624,7 @@ class Simulation:
     def _ensure_placed(self) -> None:
         if self._settled_now():
             return
-        active = self._active_now()
+        active = self.active_tasks()
         placement = self.placement
         # Per-batch load memo: placing N tasks at one instant costs O(N)
         # demand evaluations instead of O(N^2) (see least_loaded_core).
@@ -754,7 +772,7 @@ class Simulation:
         # mapped task was dispatched above, so the placement map doubles
         # as the dispatch set and the common all-placed tick skips the
         # scan entirely.
-        active = self._active_now()
+        active = self.active_tasks()
         if inactive_mapped or placement.placed_count() != len(active):
             for task in active:
                 if not placement.is_placed(task):
@@ -888,7 +906,7 @@ class Simulation:
             chip_power_w=sample.chip_power_w,
             cluster_power_w=sample.cluster_power_w,
             cluster_frequency_mhz=sample.cluster_frequency_mhz,
-            tasks=self._active_now(),
+            tasks=self.active_tasks(),
             cluster_temperature_c=thermal_temps,
             estimated_chip_power_w=estimated_w,
         )

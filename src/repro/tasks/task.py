@@ -28,6 +28,9 @@ class Task:
             important).
         start_time: Simulation time at which the task becomes active.
         duration: Active lifetime in seconds (``None`` = runs forever).
+
+    Set ``start_time`` and ``duration`` before the task joins a
+    simulation; ``Simulation.end_task`` ends a task early.
     """
 
     def __init__(

@@ -1,19 +1,20 @@
 """The activity horizon and the settled mark against a per-tick rescan.
 
-``Simulation._active_now`` reuses one scan of ``sim.tasks`` until the
-next task start or end, and the settled mark lets ``_retire_inactive``,
-``_ensure_placed`` and the object loop's dispatch skip their per-task
-scans while the mapped tasks are exactly the active ones.  Each example
-here runs one loop (object or columnar) and, on an identical copy, a
-reference subclass of the same loop that rescans on every call and never
-trusts the settled mark.  Hypothesis draws the task windows (staggered
-starts, finite and zero lifetimes), tasks shed mid-run (``duration``
-shortened, then ``invalidate_task_cache``), a task placed before it
-starts, hotplug windows and a checkpoint restore mid-run, which only the
-system under test takes.  On every tick the active list must equal a
-fresh ``Task.is_active`` scan, and at the end the tick records, the
-placement and the load dict (with its order) must match the
-uninterrupted reference bit for bit.
+``Simulation.active_tasks`` reuses one scan of the tasks not yet ended
+until the next task start or end, and the settled mark lets
+``_retire_inactive``, ``_ensure_placed`` and the object loop's dispatch
+skip their per-task scans while the mapped tasks are exactly the active
+ones.  Each example here runs one loop (object or columnar) and, on an
+identical copy, a reference subclass of the same loop that rescans all
+of ``sim.tasks`` on every call and never trusts the settled mark.
+Hypothesis draws the task windows (staggered starts, finite and zero
+lifetimes), arrivals mid-run (``sim.add_task``, starting then or later,
+with any lifetime), tasks ended mid-run (``sim.end_task``), a task
+placed before it starts, hotplug windows and a checkpoint restore
+mid-run, which only the system under test takes.  On every tick the
+active tasks must equal a fresh ``Task.is_active`` scan, and at the end
+the tick records, the placement and the load dict (with its order) must
+match the uninterrupted reference bit for bit.
 """
 
 import json
@@ -28,20 +29,22 @@ from repro.hw import tc2_chip
 from repro.sim import SimConfig
 from repro.sim.columnar import ColumnarSimulation
 from repro.sim.engine import ObjectSimulation
-from repro.tasks import build_workload
+from repro.tasks import build_workload, make_task
 
 DT = 0.01
 N_TASKS = 6  # every Table 6 set
 #: tc2_chip() core order: big.0, big.1, little.0, little.1, little.2.
 N_CORES = 5
+#: (benchmark, input) pairs an arrival draws from.
+ARRIVALS = [("x264", "l"), ("swaptions", "l"), ("blackscholes", "n")]
 
 
 class _Rescan:
     """The engine without its horizon and settled mark."""
 
-    def _active_now(self):
+    def active_tasks(self):
         now = self.now
-        active = [t for t in self.tasks if t.is_active(now)]
+        active = tuple(t for t in self.tasks if t.is_active(now))
         return self.tasks if len(active) == len(self.tasks) else active
 
     def _settled_now(self):
@@ -59,15 +62,24 @@ class ColumnarRescan(_Rescan, ColumnarSimulation):
 REFERENCE = {ObjectSimulation: ObjectRescan, ColumnarSimulation: ColumnarRescan}
 
 
-def _build(engine, spec, shed=()):
-    """A fresh simulation of ``spec``; ``shed`` holds (task index, duration) edits."""
+def _arrival(bench, name, start, duration):
+    return make_task(*bench, task_name=name, start_time=start, duration=duration)
+
+
+def _build(engine, spec, arrived=(), shed=()):
+    """A fresh simulation of ``spec`` that has added the tasks ``arrived``.
+
+    ``arrived`` holds :func:`_arrival` arguments, and ``shed`` holds
+    (task index, duration) edits, applied before the tasks are added.
+    """
     chip = tc2_chip()
     tasks = build_workload(spec["workload"])
     for task, (start, duration) in zip(tasks, spec["windows"]):
         task.start_time = start
         task.duration = duration
+    arrivals = [_arrival(*args) for args in arrived]
     for i, duration in shed:
-        tasks[i].duration = duration
+        (tasks + arrivals)[i].duration = duration
     sim = engine(
         chip,
         tasks,
@@ -77,18 +89,24 @@ def _build(engine, spec, shed=()):
     if spec["preplaced"] is not None:
         index, core = spec["preplaced"]
         sim.place(tasks[index], chip.cores[core])
+    for task in arrivals:
+        sim.add_task(task)
     return sim
 
 
-def _apply(sim, events, tick, shed):
-    """Apply the drawn events for ``tick``; record sheds in ``shed``."""
+def _apply(sim, events, tick, arrived, shed):
+    """Apply the drawn events for ``tick``, recording them for a rebuild."""
     for kind, arg in events.get(tick, ()):
-        if kind == "shed":
-            task = sim.tasks[arg]
-            if task.is_active(sim.now):  # as AdmissionController._shed does
-                task.duration = max(0.0, sim.now - task.start_time)
+        if kind == "arrive":
+            bench, delay, duration = arg
+            args = (bench, "arrival%d" % len(arrived), sim.now + delay, duration)
+            arrived.append(args)
+            sim.add_task(_arrival(*args))
+        elif kind == "shed":
+            if arg < len(sim.tasks):
+                task = sim.tasks[arg]
+                sim.end_task(task)
                 shed.append((arg, task.duration))
-                sim.invalidate_task_cache()
         elif kind == "out":
             sim.hotplug_out(sim.chip.cluster(arg))
         else:
@@ -101,17 +119,18 @@ def _run(engine, spec, ticks=None, restore=True):
     ``restore``: restore from a snapshot at ``spec["restore_at"]``.
     """
     sim = _build(engine, spec)
+    arrived = []
     shed = []
     events = spec["events"]
     for tick in range(spec["ticks"] if ticks is None else ticks):
         if restore and tick == spec["restore_at"]:
             payload = snapshot_simulation(sim)
-            sim = _build(engine, spec, shed)
+            sim = _build(engine, spec, arrived, shed)
             restore_simulation(sim, payload)
-        _apply(sim, events, tick, shed)
+        _apply(sim, events, tick, arrived, shed)
         now = sim.now
-        assert sim._active_now() == [t for t in sim.tasks if t.is_active(now)], (
-            "stale active list at tick %d" % tick
+        assert list(sim.active_tasks()) == [t for t in sim.tasks if t.is_active(now)], (
+            "stale active tasks at tick %d" % tick
         )
         sim.step()
     sim.sync()
@@ -129,25 +148,25 @@ def _state(sim):
     return records, placement, loads
 
 
+def _lifetimes(ticks):
+    return st.one_of(
+        st.none(),
+        st.just(0.0),
+        st.floats(0.0, ticks * DT),
+        st.integers(1, ticks).map(lambda k: k * DT),  # whole ticks
+    )
+
+
 @st.composite
 def _windows(draw, ticks):
-    end_s = ticks * DT
     start = draw(
         st.one_of(
             st.just(0.0),
             st.integers(0, ticks).map(lambda k: k * DT),  # on a tick, or close
-            st.floats(0.0, end_s),
+            st.floats(0.0, ticks * DT),
         )
     )
-    duration = draw(
-        st.one_of(
-            st.none(),
-            st.just(0.0),
-            st.floats(0.0, end_s),
-            st.integers(1, ticks).map(lambda k: k * DT),  # whole ticks
-        )
-    )
-    return start, duration
+    return start, draw(_lifetimes(ticks))
 
 
 @st.composite
@@ -159,9 +178,16 @@ def _specs(draw):
     if late and draw(st.booleans()):
         preplaced = (draw(st.sampled_from(late)), draw(st.integers(0, N_CORES - 1)))
     events = {}
+    n_arrivals = draw(st.integers(0, 3))
+    for _ in range(n_arrivals):
+        tick = draw(st.integers(0, ticks - 1))
+        delay = draw(st.one_of(st.just(0.0), st.floats(0.0, ticks * DT)))
+        arrival = (draw(st.sampled_from(ARRIVALS)), delay, draw(_lifetimes(ticks)))
+        events.setdefault(tick, []).append(("arrive", arrival))
     for _ in range(draw(st.integers(0, 3))):
         tick = draw(st.integers(0, ticks - 1))
-        events.setdefault(tick, []).append(("shed", draw(st.integers(0, N_TASKS - 1))))
+        task = draw(st.integers(0, N_TASKS + n_arrivals - 1))
+        events.setdefault(tick, []).append(("shed", task))
     for _ in range(draw(st.integers(0, 2))):
         cluster = draw(st.sampled_from(["big", "little"]))
         out = draw(st.integers(0, ticks - 1))
@@ -181,10 +207,12 @@ def _specs(draw):
 
 
 #: A pinned example that reaches every drawn case: a staggered start
-#: placed early, a zero lifetime, ends on and between ticks, a shed task,
-#: the big cluster unplugged over the preplaced task's start, a restore
-#: while it is out, and the LITTLE cluster unplugged after the last end,
-#: when only the placement version can unsettle the engine.
+#: placed early, a zero lifetime, ends on and between ticks, shed tasks
+#: (one of them an arrival, one already ended), arrivals that start at
+#: once, later and never, the big cluster unplugged over the preplaced
+#: task's start, a restore while it is out that re-adds two arrivals, and
+#: the LITTLE cluster unplugged after the last end, when only the
+#: placement version can unsettle the engine.
 MIXED = {
     "engine": ObjectSimulation,
     "workload": "m1",
@@ -200,11 +228,16 @@ MIXED = {
     ],
     "preplaced": (1, 1),
     "events": {
+        5: [("arrive", (("x264", "l"), 0.0, None))],
         10: [("shed", 5)],
+        12: [("arrive", (("swaptions", "l"), 0.1, 0.15))],
         15: [("out", "big")],
+        25: [("arrive", (("blackscholes", "n"), 0.0, 0.0))],
         30: [("in", "big")],
+        35: [("shed", 6)],
         40: [("out", "little")],
         45: [("in", "little")],
+        50: [("shed", 2)],
     },
     "restore_at": 20,
 }
@@ -230,5 +263,12 @@ class TestActivityHorizon:
         assert sim._horizon == math.inf
         little = sim.chip.cluster("little")
         assert any(t.is_active(sim.now) for t in sim.placement.tasks_on_cluster(little))
+        # Three drawn lifetimes, two sheds and two arrival lifetimes.
         ends = [t.duration for t in sim.tasks if t.duration is not None]
-        assert len(ends) == 4 and 0.0 in ends  # three drawn lifetimes, one shed
+        assert len(ends) == 7 and 0.0 in ends
+        assert [t.name for t in sim.tasks[N_TASKS:]] == [
+            "arrival0",
+            "arrival1",
+            "arrival2",
+        ]
+        assert sim._live == [t for t in sim.tasks if t.is_active(sim.now)]

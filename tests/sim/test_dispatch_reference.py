@@ -272,7 +272,7 @@ class TestFusedDispatchMatchesReference:
         sim = _build(MIXED)
         now = sim.now
         mapped = [t for t in sim.tasks if sim.placement.is_placed(t)]
-        assert sim._active_now() is not sim.tasks
+        assert sim.active_tasks() is not sim.tasks
         assert any(t.frozen_until > now for t in mapped)
         assert any(not t.is_active(now) for t in mapped)
         assert any(t.is_active(now) and not sim.placement.is_placed(t) for t in sim.tasks)

@@ -213,8 +213,7 @@ def _move_on_arrival_tick(engine):
     sim = engine(chip, tasks, MaxFrequencyGovernor(), config=SimConfig(seed=3))
     for _ in range(5):
         sim.step()
-    sim.tasks.append(arrival)
-    sim.invalidate_task_cache()
+    sim.add_task(arrival)
     mover = tasks[0]
     source = sim.placement.core_of(mover)
     sim.migrate(mover, next(c for c in chip.cores if c is not source))
