@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..tasks.arrivals import ArrivalRecord, ArrivalStream
 from .ladder import Ladder
@@ -288,13 +288,14 @@ class AdmissionController:
 
     # -- shedding ----------------------------------------------------------------
     def _shed(self, sim, manager) -> None:
-        """Terminate the lowest-priority admitted stream tasks, newest first."""
-        now = sim.now
-        candidates = [
-            task
-            for task in manager.spawned_tasks
-            if task.is_active(now)
-        ]
+        """Terminate the lowest-priority admitted stream tasks, newest first.
+
+        The candidates are the engine's active tasks that the stream
+        spawned, so a call costs the live tasks, not the stream's history.
+        Task names are unique, so the sort key is a total order.
+        """
+        spawned = manager.spawned_set
+        candidates = [task for task in sim.active_tasks() if task in spawned]
         candidates.sort(key=lambda t: (t.priority, -t.start_time, t.name))
         for task in candidates[: self.config.sheds_per_check]:
             sim.end_task(task)
@@ -415,6 +416,8 @@ class OverloadManager:
         self.controller = controller
         #: Live Task objects spawned so far, in spawn order.
         self.spawned_tasks: List = []
+        #: The same tasks as a set, for membership tests.
+        self.spawned_set: Set = set()
         #: JSON-safe spawn history backing checkpoint re-materialisation.
         self._spawn_log: List[Dict[str, object]] = []
         #: Arrivals admitted without a controller (baseline accounting).
@@ -479,6 +482,7 @@ class OverloadManager:
         )
         sim.add_task(task)
         self.spawned_tasks.append(task)
+        self.spawned_set.add(task)
         self._spawn_log.append(
             {
                 "record": record.to_json_dict(),
@@ -527,6 +531,7 @@ class OverloadManager:
             task.duration = duration
             sim.add_task(task)
             self.spawned_tasks.append(task)
+            self.spawned_set.add(task)
             self._spawn_log.append(dict(entry))
 
     def restore_state(self, sim, state: Dict[str, object]) -> None:

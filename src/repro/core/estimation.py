@@ -141,11 +141,22 @@ class SteadyStateEstimator:
         self._market = market
         self._demand_fn = demand_lookup
         self._energy_cost = energy_cost_lookup
-        #: Optional vectorized counterpart of ``demand_lookup``: maps a
-        #: task-id roster and a cluster to a demand array bit-identical to
-        #: per-task ``demand_lookup`` calls, or returns ``None`` when the
-        #: scalar semantics cannot be reproduced (caller falls back).
+        #: Optional vectorized counterparts of ``demand_lookup`` for the
+        #: batched LBT sweep.  Each is bit-identical to per-task
+        #: ``demand_lookup`` calls, or returns ``None`` when it cannot be
+        #: (the caller falls back to them):
+        #:
+        #: * ``demand_array_fn(task_ids, cluster_id)``: the demands of a
+        #:   cluster's resident roster there;
+        #: * ``profile_columns_fn(task_ids)``: per-task rows that only the
+        #:   tasks' profiles determine, which the sweep keeps row-keyed
+        #:   beside its rosters;
+        #: * ``cross_demand_fn(demands, rows, src_cluster, dst_cluster)``:
+        #:   the demands on ``dst_cluster`` of tasks resident on
+        #:   ``src_cluster``, from their demands there and their rows.
         self.demand_array_fn: Optional[Callable[[List[str], str], object]] = None
+        self.profile_columns_fn: Optional[Callable[[List[str]], object]] = None
+        self.cross_demand_fn: Optional[Callable[..., object]] = None
         # Per-batch caches (see begin_batch): market state is frozen while
         # the LBT enumerates candidates, so every pure lookup is memoised
         # for the duration of one proposal sweep.
@@ -179,28 +190,21 @@ class SteadyStateEstimator:
         self._batch = None
 
     def demand_array(self, task_ids: List[str], cluster_id: str):
-        """Vectorized ``_demand`` over a roster, or ``None`` to fall back."""
+        """Vectorized ``_demand`` over a resident roster, or ``None``."""
         fn = self.demand_array_fn
         return None if fn is None else fn(task_ids, cluster_id)
 
-    def prime_demands(self, cluster_id: str, task_ids: List[str]) -> None:
-        """Bulk-fill the batch demand memo via the vectorized lookup.
+    def profile_columns(self, task_ids: List[str]):
+        """Profile rows for :meth:`cross_demand_array`, or ``None``."""
+        fn = self.profile_columns_fn
+        return None if fn is None else fn(task_ids)
 
-        The array path yields values bit-identical to per-task
-        ``_demand`` calls, so scalar evaluation that follows -- with its
-        exact left-to-right sum folds -- is unchanged; only the per-task
-        python lookups are skipped.  A no-op without an active batch or
-        when the vector path declines.
-        """
-        batch = self._batch
-        if batch is None:
-            return
-        arr = self.demand_array(task_ids, cluster_id)
-        if arr is None:
-            return
-        memo = batch["demand"]
-        for tid, val in zip(task_ids, arr.tolist()):
-            memo[(tid, cluster_id)] = val
+    def cross_demand_array(self, demands, rows, src_cluster: str, dst_cluster: str):
+        """Vectorized ``_demand`` on another cluster, or ``None``."""
+        fn = self.cross_demand_fn
+        if fn is None or rows is None:
+            return None
+        return fn(demands, rows, src_cluster, dst_cluster)
 
     def _demand(self, task_id: str, cluster_id: str) -> float:
         batch = self._batch
@@ -220,14 +224,16 @@ class SteadyStateEstimator:
         batch = self._batch
         if batch is not None and batch["avg_price"] is not None:
             return batch["avg_price"]
-        total_bids = sum(agent.bid for agent in self._market.tasks.values())
+        market = self._market
+        tasks_by_core = market._tasks_by_core
+        total_bids = sum(agent.bid for agent in market.tasks.values())
         total_supply = sum(
             cluster.supply
-            for cluster in self._market.clusters.values()
-            if self._market.tasks_on_cluster(cluster.cluster_id)
+            for cluster in market.clusters.values()
+            if any(tasks_by_core[core_id] for core_id in cluster.core_ids)
         )
         if total_supply <= 0.0:
-            price = self._market.config.bmin
+            price = market.config.bmin
         else:
             price = total_bids / total_supply
         if batch is not None:

@@ -80,12 +80,6 @@ class PPMGovernor:
         #: of the market membership or the smoothed-demand dict.
         self._demand_vec_cache: Optional[_DemandVecCache] = None
         self._demand_cache_stamp = 0
-        #: Structural arrays for :meth:`_demands_on_cluster_arr`, one
-        #: roster per target cluster, keyed by the market's structure
-        #: stamp and move count: which roster rows sit on the target
-        #: cluster already and the off-line-profile nominal demands the
-        #: others scale by.
-        self._demand_arr_struct: Dict[str, tuple] = {}
         self._next_bid_time = 0.0
         self._round_counter = 0
         self._last_move_time: Dict[str, float] = {}
@@ -146,6 +140,8 @@ class PPMGovernor:
             self.market, self._demand_on_cluster, self._energy_cost_per_pu
         )
         self.estimator.demand_array_fn = self._demands_on_cluster_arr
+        self.estimator.profile_columns_fn = self._profile_columns
+        self.estimator.cross_demand_fn = self._cross_demands
         self.lbt = LBTModule(self.market, self.estimator)
         self._sync_tasks(sim)
 
@@ -682,87 +678,64 @@ class PPMGovernor:
         return agent.demand * nominal / nominal_here
 
     def _demands_on_cluster_arr(self, task_ids: List[str], cluster_id: str):
-        """Vectorized :meth:`_demand_on_cluster` over one task roster.
+        """Vectorized :meth:`_demand_on_cluster` over a resident roster.
 
-        Every row evaluates the exact scalar expression elementwise --
-        ``agent.demand`` for tasks already on the target cluster, the
-        profile-scaled ``(demand * nominal) / nominal_here`` otherwise --
-        so the gather is bit-identical to per-task calls.  The cluster's
-        resident roster (every task already on it) is the live demand
-        alone.  For any other roster the masks and nominal-demand operands
-        are pure placement/profile state, cached per target cluster
-        against the market's structure stamp and move count; only the
-        live-demand gather runs per call.  Returns ``None`` when scalar
-        semantics cannot be reproduced array-wise (online estimation) and
-        the caller falls back to the scalar loop.
+        Every task of the cluster's roster is on it already, so its demand
+        there is its live market demand.  Returns ``None`` for any other
+        roster, and under online estimation, where the caller falls back
+        to the scalar lookup.
         """
         if self.online_estimator is not None:
             return None
         market = self.market
+        if task_ids != market.cluster_roster(cluster_id):
+            return None
         agents = market.tasks
-        if task_ids == market.cluster_roster(cluster_id):
-            tasks_by_id = self._tasks_by_id
-            return np.asarray(
-                [agents[tid].demand if tid in tasks_by_id else 0.0 for tid in task_ids]
-            )
-        stamp = (market.structure_stamp, len(market.moves))
-        struct = self._demand_arr_struct.get(cluster_id)
-        if struct is None or struct[0] != stamp or struct[1] != task_ids:
-            struct = self._build_demand_struct(np, list(task_ids), cluster_id, stamp)
-            self._demand_arr_struct[cluster_id] = struct
-        (_s, _ids, valid, is_current, use_plain, use_nominal, nominal, nh_safe) = struct
-        dem = np.asarray(
-            [
-                agent.demand if (agent := agents.get(tid)) is not None else 0.0
-                for tid in task_ids
-            ]
-        )
-        out = (dem * nominal) / nh_safe
-        out = np.where(use_nominal, nominal, out)
-        out = np.where(use_plain, dem, out)
-        out = np.where(is_current, dem, out)
-        return np.where(valid, out, 0.0)
-
-    def _build_demand_struct(
-        self, np, task_ids: List[str], cluster_id: str, stamp: tuple
-    ) -> tuple:
-        """Placement/profile masks for one ``_demands_on_cluster_arr`` roster."""
-        market = self.market
         tasks_by_id = self._tasks_by_id
-        target_type = self._core_type_of_cluster(cluster_id)
-        n = len(task_ids)
-        valid = np.zeros(n, dtype=bool)
-        is_current = np.zeros(n, dtype=bool)
-        use_plain = np.zeros(n, dtype=bool)  # missing profile entry
-        use_nominal = np.zeros(n, dtype=bool)  # nominal_here <= 0
-        nominal = np.zeros(n)
-        nh_safe = np.ones(n)  # placeholder 1.0 where the ratio is unused
-        for i, tid in enumerate(task_ids):
-            task = tasks_by_id.get(tid)
-            if task is None or tid not in market.tasks:
-                continue
-            valid[i] = True
-            current_cluster = market.cores[market.core_of(tid)].cluster_id
-            if current_cluster == cluster_id:
-                is_current[i] = True
-                continue
-            try:
-                nom = task.profile.nominal_demand_pus(target_type)
-                nom_here = task.profile.nominal_demand_pus(
-                    self._core_type_of_cluster(current_cluster)
-                )
-            except KeyError:
-                use_plain[i] = True
-                continue
-            nominal[i] = nom
-            if nom_here <= 0.0:
-                use_nominal[i] = True
-            else:
-                nh_safe[i] = nom_here
-        return (
-            stamp, task_ids, valid, is_current, use_plain,
-            use_nominal, nominal, nh_safe,
+        return np.asarray(
+            [agents[tid].demand if tid in tasks_by_id else 0.0 for tid in task_ids]
         )
+
+    def _profile_columns(self, task_ids: List[str]):
+        """Each task's off-line-profile demand on each cluster's core type.
+
+        One row per task, one column per market cluster, NaN where the
+        profile has no entry (the scalar lookup's ``KeyError``) or the
+        task is unknown.  Profiles are immutable, so the LBT sweep keeps
+        these rows beside its rosters.  ``None`` under online estimation.
+        """
+        if self.online_estimator is not None:
+            return None
+        core_types = [self._core_type_of_cluster(cid) for cid in self.market.clusters]
+        rows = np.full((len(task_ids), len(core_types)), np.nan)
+        for i, tid in enumerate(task_ids):
+            task = self._tasks_by_id.get(tid)
+            if task is None:
+                continue
+            for k, core_type in enumerate(core_types):
+                try:
+                    rows[i, k] = task.profile.nominal_demand_pus(core_type)
+                except KeyError:
+                    pass
+        return rows
+
+    def _cross_demands(self, demands, rows, src_cluster: str, dst_cluster: str):
+        """Vectorized :meth:`_demand_on_cluster` of tasks leaving ``src_cluster``.
+
+        ``demands`` are the tasks' live demands on ``src_cluster`` and
+        ``rows`` their :meth:`_profile_columns`.  Every element is the
+        scalar expression: the profile-scaled ``(demand * nominal) /
+        nominal_here``, ``nominal`` where ``nominal_here <= 0``, and the
+        live demand where the profile has no entry.
+        """
+        clusters = list(self.market.clusters)
+        nominal = rows[:, clusters.index(dst_cluster)]
+        here = rows[:, clusters.index(src_cluster)]
+        use_plain = np.isnan(nominal) | np.isnan(here)
+        use_nominal = ~use_plain & (here <= 0.0)
+        out = (demands * nominal) / np.where(use_plain | use_nominal, 1.0, here)
+        out = np.where(use_nominal, nominal, out)
+        return np.where(use_plain, demands, out)
 
     def _core_type_of_cluster(self, cluster_id: str) -> str:
         assert self._chip is not None, "prepare() must run before LBT"
@@ -814,6 +787,15 @@ class PPMGovernor:
             # sched_setaffinity failed: the task did not move.  Remember
             # the decision and re-issue it with exponential backoff.
             if self._move_retry is not None:
+                if decision.current is None:
+                    # A batched sweep keeps no estimates.  Nothing has
+                    # changed the market since the proposal, so these are
+                    # the ones the move was decided on.
+                    decision.current, decision.candidate = (
+                        self.estimator.evaluate_move(
+                            decision.task_id, decision.target_core_id
+                        )
+                    )
                 self._pending_moves[decision.task_id] = decision
                 self._move_retry.record_failure(
                     decision.task_id, self._round_counter

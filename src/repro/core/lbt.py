@@ -27,10 +27,11 @@ invocation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..sim.engine import VEC_MIN_TASKS
-from . import vecestimate
 from .estimation import (
     MappingEstimate,
     SteadyStateEstimator,
@@ -38,28 +39,58 @@ from .estimation import (
     perf_not_worse,
 )
 from .market import Market
+from .vecestimate import BatchMappingEvaluator, CandidateBlock
 
 _EPS = 1e-9
 
 
 @dataclass
+class CandidateVerdict:
+    """Decision quantities for one candidate move (scalar path)."""
+
+    perf_improves: bool
+    perf_not_worse: bool
+    mover_ratio_current: float
+    mover_ratio_candidate: float
+    spend_current: float
+    spend_candidate: float
+
+
+@dataclass
 class MoveDecision:
-    """One approved task movement."""
+    """One approved task movement.
+
+    ``current`` and ``candidate`` are the steady-state estimates the move
+    was decided on.  The scalar sweep fills them; the batched sweep
+    leaves them ``None``, and ``PPMGovernor._execute_move`` builds them
+    only when a failed move is held for retry.
+    """
 
     task_id: str
     source_core_id: str
     target_core_id: str
     mode: str  #: "power" or "performance"
-    current: MappingEstimate
-    candidate: MappingEstimate
+    current: Optional[MappingEstimate] = None
+    candidate: Optional[MappingEstimate] = None
 
     @property
     def spend_saving(self) -> float:
         return self.current.spend - self.candidate.spend
 
-    @property
-    def is_inter_cluster_hint(self) -> bool:  # pragma: no cover - debug aid
-        return self.source_core_id.split(".")[0] != self.target_core_id.split(".")[0]
+
+def _first_lexmax(ok, *keys) -> Optional[int]:
+    """First index attaining the lexicographic maximum of ``keys`` over ``ok``.
+
+    The array image of a scan that keeps the first candidate whose key
+    tuple is strictly greater than the best so far.
+    """
+    idx = np.flatnonzero(ok)
+    if not len(idx):
+        return None
+    for key in keys:
+        values = key[idx]
+        idx = idx[values == values.max()]
+    return int(idx[0])
 
 
 class LBTModule:
@@ -84,8 +115,8 @@ class LBTModule:
         self._estimator = estimator
         self._min_saving_frac = min_spend_saving_frac
         self._unsat_rounds = unsatisfied_rounds_to_move
-        #: Candidate mappings evaluated by the last proposal (Table 7's
-        #: overhead unit of work).
+        #: Candidate mappings evaluated over the run (Table 7's overhead
+        #: unit of work).
         self.evaluations = 0
         # Per-proposal caches: the market is frozen while a proposal is
         # being evaluated, so demands and constrained cores are pure.
@@ -95,7 +126,7 @@ class LBTModule:
         # Epoch-cached batch evaluator: persists across proposals so its
         # structural per-cluster arrays survive between governor epochs;
         # begin_proposal() refreshes the demand-dependent state.
-        self._batch_eval: Optional["vecestimate.BatchMappingEvaluator"] = None
+        self._batch_eval: Optional[BatchMappingEvaluator] = None
 
     # -- helpers --------------------------------------------------------------
     def _priorities(self) -> Dict[str, int]:
@@ -120,7 +151,7 @@ class LBTModule:
         market = self._market
         cluster = market.clusters[cluster_id]
         populated = [
-            cid for cid in cluster.core_ids if market.tasks_on_core(cid)
+            cid for cid in cluster.core_ids if market._tasks_by_core[cid]
         ]
         constrained = (
             market.cores[max(populated, key=self._core_demand)]
@@ -178,12 +209,6 @@ class LBTModule:
             ]
         return constrained.core_id, [a.task_id for a in agents]
 
-    def _evaluate_candidate(
-        self, task_id: str, target_core_id: str
-    ) -> Tuple[MappingEstimate, MappingEstimate]:
-        self.evaluations += 1
-        return self._estimator.evaluate_move(task_id, target_core_id)
-
     # -- proposal logic ---------------------------------------------------------
     def _propose(
         self, cross_cluster: bool, exclude_tasks: frozenset
@@ -213,30 +238,28 @@ class LBTModule:
         ]
         if not populated:
             return None
-        priorities = self._priorities()
-
         # Batched evaluation above the same population threshold the
         # market kernels use, so a given run takes one path consistently
         # (per-task ratios are bit-identical either way; aggregate spends
         # can differ in the last ulp, hence the shared gate).
-        batch = None
         if len(market.tasks) >= VEC_MIN_TASKS:
-            batch = self._batch_eval
-            if batch is None:
-                batch = vecestimate.BatchMappingEvaluator(
-                    market, self._estimator
-                )
-                self._batch_eval = batch
-            batch.begin_proposal()
-        if batch is not None:
-            performance_mode = not batch.all_satisfied(populated)
-        else:
-            overall = self._estimator.evaluate_current(populated)
-            performance_mode = not overall.all_satisfied
+            return self._propose_batched(populated, cross_cluster, exclude_tasks)
+        return self._propose_scalar(populated, cross_cluster, exclude_tasks)
 
-        # Enumerate every candidate move in the same order the scalar
-        # nested loops visited them, then evaluate scalar or batched.
-        candidates: List[Tuple[str, str, str]] = []
+    def _blocks(
+        self,
+        populated: List[str],
+        cross_cluster: bool,
+        performance_mode: bool,
+        exclude_tasks: frozenset,
+    ) -> Iterator[CandidateBlock]:
+        """Every candidate move, as one block per source cluster.
+
+        A block's candidates are its movers times its target cores,
+        mover-major: the order of the nested cluster, mover and target
+        loops.
+        """
+        market = self._market
         for cluster_id in populated:
             source_core, movers = self._movers_on_constrained_core(
                 cluster_id, only_unsatisfied=performance_mode, excluded=exclude_tasks
@@ -258,28 +281,93 @@ class LBTModule:
                 ]
             else:
                 targets = [cluster_id]
-            for task_id in movers:
-                for target_cluster in targets:
-                    exclude = source_core if target_cluster == cluster_id else None
-                    target_core = self._most_oversupplied_unconstrained_core(
-                        target_cluster, exclude_core_id=exclude
-                    )
-                    if target_core is None or target_core == source_core:
-                        continue
-                    candidates.append((task_id, source_core, target_core))
+            target_cores = []
+            for target_cluster in targets:
+                exclude = source_core if target_cluster == cluster_id else None
+                target_core = self._most_oversupplied_unconstrained_core(
+                    target_cluster, exclude_core_id=exclude
+                )
+                if target_core is not None and target_core != source_core:
+                    target_cores.append(target_core)
+            if target_cores:
+                yield CandidateBlock(cluster_id, source_core, movers, target_cores)
+
+    def _propose_batched(
+        self, populated: List[str], cross_cluster: bool, exclude_tasks: frozenset
+    ) -> Optional[MoveDecision]:
+        """The sweep as arrays: block verdicts, then array reductions."""
+        batch = self._batch_eval
+        if batch is None:
+            batch = self._batch_eval = BatchMappingEvaluator(
+                self._market, self._estimator
+            )
+        batch.begin_proposal()
+        performance_mode = not batch.all_satisfied(populated)
+        blocks = list(
+            self._blocks(populated, cross_cluster, performance_mode, exclude_tasks)
+        )
+        if not blocks:
+            return None
+        verdicts = batch.evaluate_blocks(blocks)
+        self.evaluations += len(verdicts.spend_candidate)
+        # The scalar loop's rules: the first candidate wins ties.
+        if performance_mode:
+            winner = _first_lexmax(
+                verdicts.perf_improves
+                & (
+                    verdicts.mover_ratio_candidate
+                    > verdicts.mover_ratio_current + _EPS
+                ),
+                verdicts.mover_priority,
+                verdicts.mover_ratio_candidate,
+                -verdicts.spend_candidate,
+            )
+        else:
+            saving = verdicts.spend_current - verdicts.spend_candidate
+            winner = _first_lexmax(
+                (
+                    saving
+                    > self._min_saving_frac * np.maximum(verdicts.spend_current, _EPS)
+                )
+                & verdicts.perf_not_worse,
+                saving,
+            )
+        if winner is None:
+            return None
+        for block in blocks:
+            if winner < block.size:
+                break
+            winner -= block.size
+        mover, target = divmod(winner, len(block.target_cores))
+        return MoveDecision(
+            task_id=block.movers[mover],
+            source_core_id=block.source_core,
+            target_core_id=block.target_cores[target],
+            mode="performance" if performance_mode else "power",
+        )
+
+    def _propose_scalar(
+        self, populated: List[str], cross_cluster: bool, exclude_tasks: frozenset
+    ) -> Optional[MoveDecision]:
+        """The sweep one candidate at a time, estimates kept for the winner."""
+        overall = self._estimator.evaluate_current(populated)
+        performance_mode = not overall.all_satisfied
+        candidates: List[Tuple[str, str, str]] = [
+            (task_id, block.source_core, target_core)
+            for block in self._blocks(
+                populated, cross_cluster, performance_mode, exclude_tasks
+            )
+            for task_id in block.movers
+            for target_core in block.target_cores
+        ]
         if not candidates:
             return None
-
         self.evaluations += len(candidates)
-        if batch is not None:
-            verdicts = [
-                (v, None, None) for v in batch.evaluate(candidates)
-            ]
-        else:
-            verdicts = [
-                self._scalar_verdict(task_id, target_core, priorities, performance_mode)
-                for task_id, _source_core, target_core in candidates
-            ]
+        priorities = self._priorities()
+        verdicts = [
+            self._scalar_verdict(task_id, target_core, priorities, performance_mode)
+            for task_id, _source_core, target_core in candidates
+        ]
 
         best_power: Optional[Tuple[float, int]] = None
         best_perf: Optional[Tuple[Tuple[int, float, float], int]] = None
@@ -317,16 +405,6 @@ class LBTModule:
             mode = "power"
         task_id, source_core, target_core = candidates[winner]
         _verdict, current, candidate = verdicts[winner]
-        if current is None:
-            # Batched path: materialize full estimates (ratio/bid maps for
-            # the audit trail) for the winning move only.  Prime the
-            # demand memo per affected cluster first so the scalar
-            # estimate's per-task lookups all hit cache.
-            src_cluster = market.cores[source_core].cluster_id
-            dst_cluster = market.cores[target_core].cluster_id
-            for cid in {src_cluster, dst_cluster}:
-                self._estimator.prime_demands(cid, market.cluster_roster(cid))
-            current, candidate = self._estimator.evaluate_move(task_id, target_core)
         return MoveDecision(
             task_id=task_id,
             source_core_id=source_core,
@@ -342,7 +420,7 @@ class LBTModule:
         target_core: str,
         priorities: Dict[str, int],
         performance_mode: bool,
-    ) -> Tuple["vecestimate.CandidateVerdict", MappingEstimate, MappingEstimate]:
+    ) -> Tuple[CandidateVerdict, MappingEstimate, MappingEstimate]:
         """Scalar-path verdict (estimates kept for the decision record)."""
         current, candidate = self._estimator.evaluate_move(task_id, target_core)
         if performance_mode:
@@ -352,7 +430,7 @@ class LBTModule:
             improves = False
             not_worse = perf_not_worse(current.ratios, candidate.ratios, priorities)
         return (
-            vecestimate.CandidateVerdict(
+            CandidateVerdict(
                 perf_improves=improves,
                 perf_not_worse=not_worse,
                 mover_ratio_current=current.ratios.get(task_id, 0.0),

@@ -10,8 +10,17 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import AdmissionConfig, AdmissionController, AdmissionState
-from repro.tasks import ArrivalRecord
+from repro.core import (
+    AdmissionConfig,
+    AdmissionController,
+    AdmissionState,
+    OverloadManager,
+)
+from repro.experiments.harness import make_governor
+from repro.experiments.overload import OVERLOAD_TDP_W, build_overload_arrivals
+from repro.hw import tc2_chip
+from repro.sim import SimConfig, Simulation
+from repro.tasks import ArrivalRecord, ArrivalStream, build_workload
 
 #: Ladder order is the enum's definition order, calmest first.
 RUNGS = list(AdmissionState)
@@ -178,3 +187,43 @@ class TestSnapshot:
         assert restored.snapshot_state() == controller.snapshot_state()
         assert restored.state is controller.state
         assert restored.queue_depth == controller.queue_depth
+
+
+class WalkCheckingController(AdmissionController):
+    """Holds each shed to the walk over every task the stream spawned."""
+
+    def __init__(self):
+        super().__init__(AdmissionConfig())
+        self.calls = 0
+        self.walked = 0
+
+    def _shed(self, sim, manager):
+        walk = [t for t in manager.spawned_tasks if t.is_active(sim.now)]
+        walk.sort(key=lambda t: (t.priority, -t.start_time, t.name))
+        expected = [t.name for t in walk[: self.config.sheds_per_check]]
+        before = len(self.shed_names)
+        super()._shed(sim, manager)
+        assert self.shed_names[before:] == expected
+        self.calls += 1
+        self.walked += len(manager.spawned_tasks)
+
+
+class TestShed:
+    def test_shed_picks_what_the_spawn_walk_picked(self):
+        """A flash crowd on l1 (the ``overload_churn`` stream at seed 7)."""
+        chip = tc2_chip()
+        sim = Simulation(
+            chip,
+            build_workload("l1"),
+            make_governor("PPM", power_cap_w=OVERLOAD_TDP_W),
+            config=SimConfig(seed=7, metrics_warmup_s=15.0),
+        )
+        controller = WalkCheckingController()
+        OverloadManager(
+            ArrivalStream(build_overload_arrivals(chip, 60.0, 15.0), seed=7),
+            controller,
+        ).attach(sim)
+        sim.run(60.0)
+        assert controller.calls == 10
+        assert controller.shed_tasks > 0
+        assert controller.walked == 1128  # what the walk cost

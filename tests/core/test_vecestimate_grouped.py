@@ -1,12 +1,12 @@
-"""Grouped vs dense LBT row evaluator: live differential check.
+"""Grouped vs dense LBT row reductions: live differential check.
 
-:meth:`BatchMappingEvaluator._eval_cluster_rows` collapses candidate
-rows onto signature groups when ``rows x tasks`` is large; the dense
-per-row evaluation (``_eval_cluster_rows_dense``) is its documented
-oracle.  Rather than hand-crafting specs, this test forces the grouped
-path during a real simulation (gate patched to zero) and compares every
-call's grouped result against the dense oracle on the very same
-evaluator state: ``max`` reductions and per-row flags must match
+:meth:`BatchMappingEvaluator._reduce_grouped` collapses a cluster's
+candidate rows onto signature groups when ``rows x tasks`` is large; the
+dense per-row reduction (``_reduce_dense``) is its documented oracle.
+Rather than hand-crafting rows, this test forces the grouped branch
+during a real simulation (gate patched to zero) and compares every
+call's grouped result against the dense oracle on the very same row
+arrays and evaluator state: the ``max`` reductions must match
 bit-for-bit, ``spend`` up to the documented last-ulp fold freedom.
 """
 
@@ -18,42 +18,35 @@ from repro.hw import tc2_chip
 from repro.sim import SimConfig, Simulation
 from repro.tasks import random_tasks
 
-_EXACT_KEYS = (
-    "present",
-    "maxprio_imp",
-    "maxprio_wor",
-    "maxabs",
-    "mv_ok",
-    "mv_ratio",
-    "mv_bid",
-)
+_EXACT = ("maxprio_imp", "maxprio_wor", "maxabs")
 
 
 def test_grouped_rows_match_dense_oracle(monkeypatch):
-    # Force the grouped path regardless of population size...
+    # Force the grouped branch regardless of population size...
     monkeypatch.setattr(V, "_GROUPED_MIN_ELEMS", 0)
-    grouped_impl = V.BatchMappingEvaluator._eval_cluster_rows
-    dense_impl = V.BatchMappingEvaluator._eval_cluster_rows_dense
+    grouped_impl = V.BatchMappingEvaluator._reduce_grouped
+    dense_impl = V.BatchMappingEvaluator._reduce_dense
     compared = []
 
-    def differential(self, cluster_id, specs):
-        grouped = grouped_impl(self, cluster_id, specs)
-        dense = dense_impl(self, cluster_id, specs)
-        compared.append((cluster_id, len(specs)))
-        assert set(grouped) == set(dense)
-        for key in _EXACT_KEYS:
-            assert grouped[key] == dense[key], (
-                f"{key} diverged for {cluster_id} ({len(specs)} rows)"
+    def differential(self, base, rows, state):
+        grouped = grouped_impl(self, base, rows, state)
+        dense = dense_impl(self, base, rows, state)
+        n_rows = len(rows.mask)
+        compared.append(
+            (int((rows.mask >= 0).sum()), int((rows.a2_slot >= 0).sum()),
+             int((rows.mv_slot >= 0).sum()))
+        )
+        for name, g, d in zip(_EXACT, grouped, dense):
+            assert g.tolist() == d.tolist(), (
+                f"{name} diverged for {base.cluster_id} ({n_rows} rows)"
             )
-        for g, d in zip(grouped["spend"], dense["spend"]):
+        for g, d in zip(grouped[3].tolist(), dense[3].tolist()):
             assert math.isclose(g, d, rel_tol=1e-12, abs_tol=1e-12)
         # ...but hand the dense result back, so the run's decisions are
         # the stock small-population behaviour.
         return dense
 
-    monkeypatch.setattr(
-        V.BatchMappingEvaluator, "_eval_cluster_rows", differential
-    )
+    monkeypatch.setattr(V.BatchMappingEvaluator, "_reduce_grouped", differential)
 
     # Enough tasks that the batch evaluator engages (>= VEC_MIN_TASKS)
     # and the LBT proposes candidate rows on most invocations.
@@ -65,3 +58,7 @@ def test_grouped_rows_match_dense_oracle(monkeypatch):
     )
     sim.run(1.5)
     assert compared, "batch evaluator never ran; the gate moved?"
+    # Rows that mask a leaving mover, rows that move a task within its
+    # cluster (two adjustments) and rows that add a mover all went through.
+    masked, intra, adding = (sum(column) for column in zip(*compared))
+    assert masked and intra and adding, (masked, intra, adding)

@@ -4,7 +4,8 @@ An LBT move keeps the task population, so the columnar engine permutes
 its epoch instead of reseeding it, and PPM patches what the move changes
 instead of dropping it: the demand cache's smoothed row, the market
 mirror's signature, the market's round and clearing structures, and the
-LBT evaluator's cluster rosters.  The object/columnar harness cannot see
+LBT evaluator's cluster rosters and their profile rows.  The
+object/columnar harness cannot see
 PPM's caches, because both loops share them.  So each run here holds
 the patched system to a reference that rebuilds: an engine that reseeds
 every epoch from the object view, under a PPM that drops every cache a
@@ -15,6 +16,7 @@ history, and the number of executed moves must match exactly.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.checkpoint import restore_simulation, snapshot_simulation, tick_records
@@ -39,7 +41,6 @@ class RebuildingPPM(PPMGovernor):
     def _drop_move_caches(self):
         self._demand_vec_cache = None
         self._market_sync_sig = None
-        self._demand_arr_struct.clear()
         self.market._round_struct = None
         self.market._clearing_struct = None
         if self.lbt is not None and self.lbt._batch_eval is not None:
@@ -183,12 +184,12 @@ class RosterCheckingPPM(PPMGovernor):
             if base.stamp != market.structure_stamp:
                 continue  # rebuilt on its next use
             if base.moves_seen != len(market.moves):
-                base.replay(market)  # what the next proposal would do
-                fresh = _ClusterBase(market, cluster_id)
+                base.replay(market, self.estimator)  # what the next proposal would do
+                fresh = _ClusterBase(market, cluster_id, self.estimator)
                 assert base.tids == fresh.tids
-                assert base.tid_index == fresh.tid_index
                 for name in ("prio", "core_slot", "psum"):
                     assert getattr(base, name).tolist() == getattr(fresh, name).tolist()
+                assert np.array_equal(base.profile, fresh.profile, equal_nan=True)
                 self.checked += 1
         super()._bid_period(sim)
 
