@@ -40,6 +40,13 @@ and ``tests/sim/test_sync_barrier.py``):
   (an LBT move) permutes the outgoing epoch's rows, heart-rate rings
   included, and keeps its dirty stamps; any other rebuild re-seeds the
   columns from the object view, so a barrier precedes it.
+* **One tick clock.**  Every active task records one heart-rate sample
+  per tick, at ``now + dt``, from its start until it ends, so an
+  epoch's rows differ only in how many of the newest ticks they hold,
+  and the rings keep one shared time column.  Monitor views live only
+  inside their epoch: a seed hands every task that leaves the epoch a
+  plain ``HeartRateMonitor`` with the view's samples, which records
+  through ``Task.idle_tick`` while the task is off the dispatch map.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..tasks.heartbeats import HeartRateMonitor
 from ..tasks.phases import ConstantPhase, SinusoidalPhases, SquareWavePhases
 from ..tasks.task import Task
 from .engine import Simulation
@@ -134,11 +142,15 @@ _ROW_COLUMNS = (
 
 
 class _HRMRings:
-    """Ring buffers holding the adopted tasks' heart-rate samples.
+    """The heart-rate windows of an epoch's rows, on one shared tick clock.
 
-    One row per store row.  Semantics mirror ``HeartRateMonitor``'s
-    deque exactly: append the cumulative beat count, then pop from the
-    left while the *second* sample is at/before the window horizon.
+    Every active task records one sample per tick, at ``now + dt``, so the
+    rows differ only in how many of the clock's newest ticks they hold:
+    row ``i`` holds the newest ``count[i]`` of the ``size`` times in the
+    time ring ``t`` (oldest at ``head``), with its cumulative beat counts
+    in ``b[:, i]``.  Appends and trims make ``HeartRateMonitor``'s deque
+    comparisons: append the sample, then drop the oldest while the
+    *second* sample is at/before the window horizon.
     """
 
     def __init__(
@@ -146,354 +158,167 @@ class _HRMRings:
         windows: Sequence[float],
         samples: Sequence[Sequence[Tuple[float, float]]],
         dt: float,
+        source: Optional["_HRMRings"] = None,
+        rows: Sequence[int] = (),
+        src: Sequence[int] = (),
     ):
-        n = len(windows)
-        cap = 4
-        for w, s in zip(windows, samples):
-            cap = max(cap, int(math.ceil(w / dt)) + 4, len(s) + 2)
-        self.n = n
-        self.cap = cap
-        self.window = np.asarray(windows, dtype=float)
-        self.t = np.zeros((n, cap))
-        self.b = np.zeros((n, cap))
-        self.head = np.zeros(n, dtype=np.intp)
-        self.count = np.zeros(n, dtype=np.intp)
-        self.rows = np.arange(n, dtype=np.intp)
-        #: Mutation counter; heart-rate caches key off it.
-        self.stamp = 0
-        for i, s in enumerate(samples):
-            k = len(s)
-            if k:
-                self.t[i, :k] = [pair[0] for pair in s]
-                self.b[i, :k] = [pair[1] for pair in s]
-            self.count[i] = k
-        # Uniform mode: when every row shares one window and one sample
-        # cadence (the steady state -- every task records every tick),
-        # the time ring, head and count are shared scalars and appends
-        # collapse to one column write.  Any per-row mutation demotes to
-        # the general per-row machinery, copying the shared state out.
-        self._detect_uniform()
+        """Rings for one row per ``windows`` entry.
 
-    @classmethod
-    def adopt(
-        cls,
-        windows: Sequence[float],
-        samples: Sequence[Sequence[Tuple[float, float]]],
-        col_src: Sequence[Tuple[int, "_HRMRings", int]],
-        dt: float,
-    ) -> "_HRMRings":
-        """Build rings re-adopting rows straight out of existing rings.
-
-        Equivalent to materialising every ``col_src`` row via
-        ``samples_of`` and running ``__init__``, but the sample transfer
-        is one array gather per source ring instead of a per-task deque
-        round-trip.  ``samples`` carries the rows of plain monitors only;
-        rows named in ``col_src`` keep their placeholder ``windows``
-        entry (overwritten from the source ring) and must have an empty
-        ``samples`` entry.
+        Row ``i`` takes window ``windows[i]`` and a plain monitor's
+        ``samples[i]`` (oldest first), except that rows ``rows`` take rows
+        ``src`` of ``source``, window included, in one array gather (their
+        ``samples`` entries must be empty).  Every row's times must be a
+        suffix of the longest row's, which become the clock.
         """
-        self = cls.__new__(cls)
         n = len(windows)
-        groups: Dict[int, list] = {}
-        for row, ring, src in col_src:
-            g = groups.get(id(ring))
-            if g is None:
-                g = groups[id(ring)] = [ring, [], []]
-            g[1].append(row)
-            g[2].append(src)
         window = np.asarray(windows, dtype=float)
-        grp = []
-        for ring, rows, srcs in groups.values():
-            nr = np.asarray(rows, dtype=np.intp)
-            orr = np.asarray(srcs, dtype=np.intp)
-            grp.append((ring, nr, orr))
-            window[nr] = ring.window[orr]
-        # ``ceil`` is monotone, so the per-row max of ``ceil(w/dt)``
-        # equals ``ceil(max(w)/dt)``.
-        cap = 4
+        count = np.fromiter(map(len, samples), dtype=np.intp, count=n)
+        plain = [
+            (i, np.asarray(samples[i], dtype=float))
+            for i in np.flatnonzero(count).tolist()
+        ]
+        rows = np.asarray(rows, dtype=np.intp)
+        src = np.asarray(src, dtype=np.intp)
+        moved_times = np.zeros(0)
+        if rows.size:
+            window[rows] = source.window[src]
+            count[rows] = source.count[src]
+            slots = source._slots(int(count[rows].max()))
+            moved_times = source.t[slots]
+        # The clock is the longest row's times, and every row must hold
+        # its newest end.
+        times = [moved_times] + [pairs[:, 0] for _i, pairs in plain]
+        clock = max(times, key=len)
+        size = clock.size
+        for row_times in times:
+            if not np.array_equal(row_times, clock[size - row_times.size :]):
+                raise ValueError("heart-rate samples do not share one tick clock")
+        # After a trim a row holds one sample at/before its horizon and
+        # the rest inside its window: at most floor(window / dt) + 2 at
+        # tick spacing dt, and the clock holds the longest row.  So
+        # ceil(window / dt) + 4 slots take that, the append before its
+        # trim and the clock's rounding.  A seeded clock sampled at a
+        # finer dt needs its own length + 2; a ring that still fills
+        # raises.
+        cap = size + 2
         if n:
             cap = max(cap, int(math.ceil(float(window.max()) / dt)) + 4)
-        for s in samples:
-            if s:
-                cap = max(cap, len(s) + 2)
-        for ring, nr, orr in grp:
-            if ring.uniform:
-                cmax = int(ring.ucount)
-            else:
-                cmax = int(ring.count[orr].max())
-            cap = max(cap, cmax + 2)
         self.n = n
         self.cap = cap
         self.window = window
-        self.t = np.zeros((n, cap))
-        self.b = np.zeros((n, cap))
-        self.head = np.zeros(n, dtype=np.intp)
-        self.count = np.zeros(n, dtype=np.intp)
+        self.count = count
+        self.t = np.zeros(cap)
+        self.t[:size] = clock
+        self.head = 0
+        self.size = size
+        self.b = np.zeros((cap, n))
+        if rows.size:
+            self.b[size - slots.size : size, rows] = source.b[np.ix_(slots, src)]
+        for i, pairs in plain:
+            self.b[size - len(pairs) : size, i] = pairs[:, 1]
         self.rows = np.arange(n, dtype=np.intp)
+        #: Mutation counter; heart-rate caches key off it.
         self.stamp = 0
-        for i, s in enumerate(samples):
-            k = len(s)
-            if k:
-                self.t[i, :k] = [pair[0] for pair in s]
-                self.b[i, :k] = [pair[1] for pair in s]
-                self.count[i] = k
-        for ring, nr, orr in grp:
-            if ring.uniform:
-                k = int(ring.ucount)
-                if k:
-                    idx = (ring.uhead + np.arange(k)) % ring.cap
-                    self.t[nr[:, None], np.arange(k)[None, :]] = ring.ut[idx][None, :]
-                    self.b[nr[:, None], np.arange(k)[None, :]] = ring.b[
-                        orr[:, None], idx[None, :]
-                    ]
-                self.count[nr] = k
-            else:
-                cnts = ring.count[orr]
-                kmax = int(cnts.max())
-                if kmax:
-                    seq = np.arange(kmax)
-                    idx = (ring.head[orr][:, None] + seq[None, :]) % ring.cap
-                    mask = seq[None, :] < cnts[:, None]
-                    self.t[nr[:, None], seq[None, :]] = np.where(
-                        mask, ring.t[orr[:, None], idx], 0.0
-                    )
-                    self.b[nr[:, None], seq[None, :]] = np.where(
-                        mask, ring.b[orr[:, None], idx], 0.0
-                    )
-                self.count[nr] = cnts
-        self._detect_uniform()
-        return self
+
+    def _slots(self, k: int) -> "np.ndarray":
+        """Ring slots of the clock's newest ``k`` times, oldest first."""
+        return (self.head + self.size - k + np.arange(k)) % self.cap
 
     def permute(self, perm: "np.ndarray", lo: int, hi: int) -> None:
         """Reorder the rows in place: row ``i`` takes old row ``perm[i]``.
 
         ``perm`` must be the identity outside ``lo:hi``, so each per-row
-        array takes one gather over that window.  Uniform mode's shared
-        time ring, head and count belong to no row and stay as they are.
+        array takes one gather over that window.  The clock belongs to no
+        row and stays as it is.
         """
         src = perm[lo:hi]
         self.window[lo:hi] = self.window[src]
-        self.b[lo:hi] = self.b[src]
-        if not self.uniform:
-            self.t[lo:hi] = self.t[src]
-            self.head[lo:hi] = self.head[src]
-            self.count[lo:hi] = self.count[src]
+        self.count[lo:hi] = self.count[src]
+        self.b[:, lo:hi] = self.b[:, src]
         self.stamp += 1
 
-    def _detect_uniform(self) -> None:
-        """Enter uniform mode when every row shares window and cadence.
+    def append(
+        self, t_new: float, beats: "np.ndarray", active: Optional["np.ndarray"] = None
+    ) -> None:
+        """``record(t_new, beats[i])`` on every row, or on the ``active`` rows.
 
-        Callers must have every row normalised to ``head == 0`` (both
-        construction paths write samples from slot 0).
+        A row the mask skips must hold no samples (a task placed before
+        its start), because they would stop being the clock's newest.
         """
-        self.uniform = False
-        self.ut = None
-        self.uhead = 0
-        self.ucount = 0
-        n = self.n
-        cap = self.cap
-        if n:
-            k0 = int(self.count[0])
-            same = bool((self.count == k0).all()) and bool(
-                (self.window == self.window[0]).all()
-            )
-            if same and (k0 == 0 or bool((self.t[:, :k0] == self.t[0, :k0]).all())):
-                self.uniform = True
-                self.ut = np.zeros(cap)
-                if k0:
-                    self.ut[:k0] = self.t[0, :k0]
-                self.ucount = k0
-
-    def _demote(self) -> None:
-        """Materialise the shared uniform state into the per-row arrays."""
-        if not self.uniform:
-            return
-        self.uniform = False
-        self.t[:, :] = self.ut[None, :]
-        self.head[:] = self.uhead
-        self.count[:] = self.ucount
-
-    def append_all(self, t_new: float, beats: "np.ndarray") -> None:
-        """Uniform-mode ``record`` for every row at once (one column write)."""
-        self.stamp += 1
-        if self.ucount + 1 > self.cap:
-            self._grow(self.ucount + 2)
-        cap = self.cap
-        pos = (self.uhead + self.ucount) % cap
-        ut = self.ut
-        ut[pos] = t_new
-        self.b[:, pos] = beats
-        self.ucount += 1
-        horizon = t_new - float(self.window[0])
-        while self.ucount >= 2 and ut[(self.uhead + 1) % cap] <= horizon:
-            self.uhead = (self.uhead + 1) % cap
-            self.ucount -= 1
-
-    def _grow(self, need: int) -> None:
-        cap = max(need, 2 * self.cap)
-        t = np.zeros((self.n, cap))
-        b = np.zeros((self.n, cap))
-        if self.uniform:
-            c = self.ucount
-            if c:
-                idx = (self.uhead + np.arange(c)) % self.cap
-                b[:, :c] = self.b[:, idx]
-                ut = np.zeros(cap)
-                ut[:c] = self.ut[idx]
-                self.ut = ut
-                t[:, :c] = ut[:c][None, :]
-            else:
-                self.ut = np.zeros(cap)
-            self.uhead = 0
-            self.count[:] = c
-        else:
-            for i in range(self.n):
-                c = int(self.count[i])
-                if c:
-                    idx = (int(self.head[i]) + np.arange(c)) % self.cap
-                    t[i, :c] = self.t[i, idx]
-                    b[i, :c] = self.b[i, idx]
-        self.t = t
-        self.b = b
-        self.head[:] = 0
-        self.cap = cap
-
-    def append_many(self, rows: "np.ndarray", t_new: float, beats: "np.ndarray") -> None:
-        """Vectorized ``record(t_new, beats[k])`` over ``rows``.
-
-        The engine only appends monotonically increasing times, so the
-        scalar path's non-decreasing check is statically satisfied here.
-        """
-        if rows.size == 0:
-            return
-        if self.uniform:
-            if rows.size == self.n:
-                self.append_all(t_new, beats)
-                return
-            self._demote()
-        self.stamp += 1
-        if int(self.count[rows].max()) + 1 > self.cap:
-            self._grow(int(self.count[rows].max()) + 2)
-        head = self.head
         count = self.count
-        pos = (head[rows] + count[rows]) % self.cap
-        self.t[rows, pos] = t_new
-        self.b[rows, pos] = beats
-        count[rows] += 1
-        # Trim: same pop-while-second-sample-expired loop as the deque,
-        # advanced for every row at once (regular cadence pops <= 1-2).
-        h = head[rows].copy()
-        c = count[rows].copy()
-        horizon = t_new - self.window[rows]
+        if active is not None and count[~active].any():
+            raise ValueError("a skipped heart-rate row holds samples")
+        cap = self.cap
+        if self.size == cap:
+            raise RuntimeError("heart-rate ring full")
+        pos = (self.head + self.size) % cap
+        t = self.t
+        t[pos] = t_new
+        if active is None:
+            self.b[pos] = beats
+            count += 1
+        else:
+            np.copyto(self.b[pos], beats, where=active)
+            count += active
+        # The deque's trim, every row at once: a row's second sample sits
+        # at clock slot pos + 2 - count.
+        horizon = t_new - self.window
         while True:
-            live = c >= 2
-            if not live.any():
+            drop = (count >= 2) & (t[(pos + 2 - count) % cap] <= horizon)
+            if not drop.any():
                 break
-            second = self.t[rows, (h + 1) % self.cap]
-            live &= second <= horizon
-            if not live.any():
-                break
-            h[live] = (h[live] + 1) % self.cap
-            c[live] -= 1
-        head[rows] = h
-        count[rows] = c
-
-    def append_one(self, i: int, t: float, total_beats: float) -> None:
-        """Scalar ``HeartRateMonitor.record`` against ring row ``i``."""
-        self._demote()
+            count -= drop
+        self.size = int(count.max())
+        self.head = (pos + 1 - self.size) % cap
         self.stamp += 1
-        if int(self.count[i]) + 1 > self.cap:
-            self._grow(int(self.count[i]) + 2)
-        h = int(self.head[i])
-        c = int(self.count[i])
-        if c and t < self.t[i, (h + c - 1) % self.cap]:
-            raise ValueError("time must be non-decreasing")
-        self.t[i, (h + c) % self.cap] = t
-        self.b[i, (h + c) % self.cap] = total_beats
-        c += 1
-        horizon = t - float(self.window[i])
-        while c >= 2 and self.t[i, (h + 1) % self.cap] <= horizon:
-            h = (h + 1) % self.cap
-            c -= 1
-        self.head[i] = h
-        self.count[i] = c
 
     def rate_all(self) -> "np.ndarray":
         """``HeartRateMonitor.heart_rate`` for every row (vectorized)."""
-        if self.uniform:
-            c = self.ucount
-            if c < 2:
-                return np.zeros(self.n)
-            h = self.uhead
-            last = (h + c - 1) % self.cap
-            t0 = float(self.ut[h])
-            t1 = float(self.ut[last])
-            if t1 <= t0:
-                return np.zeros(self.n)
-            return (self.b[:, last] - self.b[:, h]) / (t1 - t0)
-        rows = self.rows
-        last = (self.head + self.count - 1) % self.cap
-        t0 = self.t[rows, self.head]
-        t1 = self.t[rows, last]
-        ok = (self.count >= 2) & (t1 > t0)
-        b0 = self.b[rows, self.head]
-        b1 = self.b[rows, last]
+        count = self.count
+        last = (self.head + self.size - 1) % self.cap
+        first = (last + 1 - count) % self.cap
+        t0 = self.t[first]
+        t1 = self.t[last]
+        ok = (count >= 2) & (t1 > t0)
+        b0 = self.b[first, self.rows]
+        b1 = self.b[last]
         return np.where(ok, (b1 - b0) / np.where(ok, t1 - t0, 1.0), 0.0)
 
     def rate_one(self, i: int) -> float:
-        c = self.ucount if self.uniform else int(self.count[i])
+        c = int(self.count[i])
         if c < 2:
             return 0.0
-        h = self.uhead if self.uniform else int(self.head[i])
-        last = (h + c - 1) % self.cap
-        tbuf = self.ut if self.uniform else self.t[i]
-        t0 = tbuf[h]
-        t1 = tbuf[last]
+        last = (self.head + self.size - 1) % self.cap
+        first = (last + 1 - c) % self.cap
+        t0 = self.t[first]
+        t1 = self.t[last]
         if t1 <= t0:
             return 0.0
-        return float((self.b[i, last] - self.b[i, h]) / (t1 - t0))
+        return float((self.b[last, i] - self.b[first, i]) / (t1 - t0))
 
     def withhold_last_one(self, i: int, total_beats: float) -> None:
         """``HeartRateMonitor.withhold_last`` against ring row ``i``."""
-        h, c = (self.uhead, self.ucount) if self.uniform else (self.head[i], self.count[i])
-        self.b[i, (h + c - 1) % self.cap] = total_beats
+        self.b[(self.head + self.size - 1) % self.cap, i] = total_beats
         self.stamp += 1
 
     def reset_one(self, i: int) -> None:
-        self._demote()
-        self.stamp += 1
         self.count[i] = 0
+        self.stamp += 1
 
     def samples_of(self, i: int) -> deque:
-        if self.uniform:
-            c = self.ucount
-            idx = (self.uhead + np.arange(c)) % self.cap
-            return deque(zip(self.ut[idx].tolist(), self.b[i, idx].tolist()))
-        c = int(self.count[i])
-        idx = (int(self.head[i]) + np.arange(c)) % self.cap
-        return deque(zip(self.t[i, idx].tolist(), self.b[i, idx].tolist()))
-
-    def set_samples(self, i: int, pairs) -> None:
-        pairs = list(pairs)
-        self._demote()
-        self.stamp += 1
-        if len(pairs) + 2 > self.cap:
-            self._grow(len(pairs) + 2)
-        self.head[i] = 0
-        self.count[i] = len(pairs)
-        for k, (tv, bv) in enumerate(pairs):
-            self.t[i, k] = tv
-            self.b[i, k] = bv
+        idx = self._slots(int(self.count[i]))
+        return deque(zip(self.t[idx].tolist(), self.b[idx, i].tolist()))
 
 
 class ColumnarHRM:
-    """Drop-in ``HeartRateMonitor`` view over one ring-buffer row.
+    """Drop-in ``HeartRateMonitor`` view over one ring row.
 
-    Standalone handle: it stays valid (reads and writes its birth ring)
-    even after the owning epoch is discarded.  An epoch seeded from the
-    object view gathers its samples into new rings and hands the task a
-    fresh view; a same-population rebuild permutes the rings in place
-    and re-points the views whose row moved.
+    A view lives only inside its epoch: a same-population rebuild permutes
+    the rings in place and re-points the views whose row moved, and the
+    seed of any other epoch gathers the samples of the views it keeps
+    into new rings and hands every task that leaves a plain monitor
+    (:meth:`plain`).  The engine records through the rings, never through
+    a view.
     """
 
     def __init__(self, rings: _HRMRings, row: int):
@@ -503,9 +328,6 @@ class ColumnarHRM:
     @property
     def window_s(self) -> float:
         return float(self._rings.window[self._row])
-
-    def record(self, t: float, total_beats: float) -> None:
-        self._rings.append_one(self._row, t, total_beats)
 
     def withhold_last(self, total_beats: float) -> None:
         self._rings.withhold_last_one(self._row, total_beats)
@@ -520,9 +342,11 @@ class ColumnarHRM:
     def _samples(self) -> deque:
         return self._rings.samples_of(self._row)
 
-    @_samples.setter
-    def _samples(self, value) -> None:
-        self._rings.set_samples(self._row, value)
+    def plain(self) -> HeartRateMonitor:
+        """A plain monitor holding this view's window and samples."""
+        hrm = HeartRateMonitor(window_s=self.window_s)
+        hrm._samples = self._samples
+        return hrm
 
 
 class _Epoch:
@@ -1127,26 +951,32 @@ class ColumnarSimulation(Simulation):
         self._summarise_rows(ep)
         self._group_phases(ep)
 
-        # Heart-rate monitors: adopt plain monitors (and re-adopt views
-        # from a previous epoch) into fresh rings.  Views re-adopt via a
-        # ring-to-ring array gather; plain monitors round-trip through
-        # their sample deques.
-        dt = ep.dt
+        # Heart-rate monitors.  Views live only inside their epoch: every
+        # task that leaves it takes a plain monitor holding its samples,
+        # so the views among this epoch's tasks name one ring, and their
+        # rows move over in one array gather.  Plain monitors (new tasks,
+        # restored ones, tasks coming back) hand over their deques, as
+        # does a view of any other ring (a task from another simulation).
+        rowmap = ep.rowmap
+        for t in self.tasks:
+            hrm = t.hrm
+            if type(hrm) is ColumnarHRM and t not in rowmap:
+                t.hrm = hrm.plain()
         windows: List[float] = [1.0] * n
         samples: List[Sequence[Tuple[float, float]]] = [()] * n
-        col_src: List[Tuple[int, _HRMRings, int]] = []
+        source: Optional[_HRMRings] = None
+        rows: List[int] = []
+        src: List[int] = []
         for i, t in enumerate(tasks):
             hrm = t.hrm
-            if type(hrm) is ColumnarHRM:
-                # window comes from the source ring, gathered in adopt()
-                col_src.append((i, hrm._rings, hrm._row))
+            if type(hrm) is ColumnarHRM and (source is None or hrm._rings is source):
+                source = hrm._rings
+                rows.append(i)
+                src.append(hrm._row)
             else:
                 windows[i] = hrm.window_s
-                samples[i] = tuple(hrm._samples)
-        if col_src:
-            ep.rings = _HRMRings.adopt(windows, samples, col_src, dt)
-        else:
-            ep.rings = _HRMRings(windows, samples, dt)
+                samples[i] = hrm._samples
+        ep.rings = _HRMRings(windows, samples, ep.dt, source, rows, src)
         for i, t in enumerate(tasks):
             t.hrm = ColumnarHRM(ep.rings, i)
 
@@ -1159,6 +989,9 @@ class ColumnarSimulation(Simulation):
             self._set_metrics_bounds(ep)
         else:
             self._clear_metrics_perm(ep)
+        # The gather cache indexes the outgoing epoch's rows: dropping it
+        # lets that epoch and its ring go.
+        self._gather_cache = None
         return self._seal_epoch(ep, clean=True)
 
     @staticmethod
@@ -1482,8 +1315,7 @@ class ColumnarSimulation(Simulation):
 
         # Heartbeats: both runnable and frozen rows record; inactive
         # mapped tasks do not.
-        act = np.nonzero(active)[0]
-        ep.rings.append_many(act, now + dt, ep.beats[act])
+        ep.rings.append(now + dt, ep.beats, active)
 
         if defer:
             dirty = self._col_dirty
@@ -1673,7 +1505,7 @@ class ColumnarSimulation(Simulation):
             # so write through now.
             self.load_tracker.update_many(zip(tasks, load.tolist()))
 
-        ep.rings.append_many(ep.rings.rows, now + dt, ep.beats)
+        ep.rings.append(now + dt, ep.beats)
 
         # sup/con are unchanged on cache-hit ticks, so only the
         # accumulating columns are marked for the barrier here.

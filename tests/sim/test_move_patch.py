@@ -137,12 +137,12 @@ def test_a_full_move_journal_rebuilds(monkeypatch):
 
 
 def test_same_population_rebuild_is_array_work(monkeypatch):
-    """A move's rebuild neither flushes the object view nor re-adopts rings."""
-    counts = {"rebuilds": 0, "sync": 0, "adopt": 0}
+    """A move's rebuild neither flushes the object view nor builds rings."""
+    counts = {"rebuilds": 0, "sync": 0, "rings": 0}
     same_population = []
     build = ColumnarSimulation._build_epoch
     sync = ColumnarSimulation.sync
-    adopt = _HRMRings.adopt.__func__
+    rings_init = _HRMRings.__init__
 
     def traced_build(self):
         old = self._epoch
@@ -159,17 +159,17 @@ def test_same_population_rebuild_is_array_work(monkeypatch):
             counts["sync"] += 1
         return sync(self)
 
-    def traced_adopt(cls, *args):
+    def traced_rings_init(self, *args):
         if same_population and same_population[-1]:
-            counts["adopt"] += 1
-        return adopt(cls, *args)
+            counts["rings"] += 1
+        return rings_init(self, *args)
 
     monkeypatch.setattr(ColumnarSimulation, "_build_epoch", traced_build)
     monkeypatch.setattr(ColumnarSimulation, "sync", traced_sync)
-    monkeypatch.setattr(_HRMRings, "adopt", classmethod(traced_adopt))
+    monkeypatch.setattr(_HRMRings, "__init__", traced_rings_init)
     sim = _run(ColumnarSimulation, PPMGovernor, "128")
     assert sim.governor.moves_executed == 30
-    assert counts == {"rebuilds": 30, "sync": 0, "adopt": 0}
+    assert counts == {"rebuilds": 30, "sync": 0, "rings": 0}
 
 
 class RosterCheckingPPM(PPMGovernor):
