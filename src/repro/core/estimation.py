@@ -21,18 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from .market import Market
 
 #: demand estimator: (task_id, cluster_id) -> steady-state demand in PUs.
 DemandLookup = Callable[[str, str], float]
 
 _EPS = 1e-9
-
-#: Population floor for the vectorized per-core estimate loop; below it
-#: the scalar loop is cheaper.  Either path yields bit-identical values.
-_VEC_EVAL_MIN_TASKS = 32
 
 
 @dataclass
@@ -428,42 +422,6 @@ class SteadyStateEstimator:
                     continue
                 core_supply = cluster.supply_ladder[target_level]
                 core_saturated = core_demands[core_id] > core_supply + _EPS
-                if len(tids) >= _VEC_EVAL_MIN_TASKS:
-                    # Vectorized per-task arithmetic: every expression is
-                    # the elementwise image of the scalar branch below
-                    # (the priority sum keeps its left-to-right fold), so
-                    # the resulting dicts are bit-identical, in the same
-                    # insertion order.
-                    prio_list = [market.tasks[t].priority for t in tids]
-                    priority_sum = sum(prio_list)
-                    d = np.asarray(
-                        [self._demand(t, cluster_id) for t in tids]
-                    )
-                    positive = d > 0.0
-                    if not core_saturated:
-                        supply_arr = d
-                    else:
-                        supply_arr = (
-                            core_supply
-                            * np.asarray(prio_list, dtype=float)
-                            / priority_sum
-                        )
-                        supply_arr = np.where(
-                            positive, np.minimum(supply_arr, d), supply_arr
-                        )
-                    ratio_arr = np.where(
-                        positive,
-                        np.minimum(
-                            1.0, supply_arr / np.where(positive, d, 1.0)
-                        ),
-                        1.0,
-                    )
-                    bid_arr = np.maximum(
-                        supply_arr * price, market.config.bmin
-                    )
-                    ratios.update(zip(tids, ratio_arr.tolist()))
-                    bids.update(zip(tids, bid_arr.tolist()))
-                    continue
                 priority_sum = sum(market.tasks[t].priority for t in tids)
                 for task_id in tids:
                     demand = self._demand(task_id, cluster_id)

@@ -24,8 +24,6 @@ random bid matrices.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 
@@ -108,71 +106,6 @@ def update_unsatisfied_rounds(
     return np.where(demand > supply * 1.02, unsatisfied + 1, 0)
 
 
-def compute_grants_batch(
-    core_ix: "np.ndarray",
-    n_cores: int,
-    supplies: "np.ndarray",
-    alloc: "np.ndarray",
-    has_alloc: "np.ndarray",
-    weights: "np.ndarray",
-) -> "np.ndarray":
-    """All-cores scheduler grants, bit-exact vs ``compute_grants`` per core.
-
-    Args:
-        core_ix: Core index per task (tasks listed in per-core dispatch
-            order, so ``bincount`` folds match the scalar loops).
-        n_cores: Number of cores.
-        supplies: Supply in PUs per core.
-        alloc: Explicit allocation per task, already ``max(0, .)``-clamped
-            and 0.0 where ``has_alloc`` is False.
-        has_alloc: Whether the task has an explicit allocation.
-        weights: Fair-share weight per task (used where ``has_alloc`` is
-            False), already ``max(0, .)``-clamped.
-    """
-    # Explicit requests: pooled tasks contribute +0.0, which is exact.
-    requested = ordered_core_sums(alloc, core_ix, n_cores)
-    over = requested > supplies
-    scale = np.where(over, supplies / np.where(over, requested, 1.0), 1.0)
-    g_explicit = np.where(has_alloc, alloc * scale[core_ix], 0.0)
-    granted_total = ordered_core_sums(g_explicit, core_ix, n_cores)
-    leftover = supplies - granted_total
-
-    pooled = ~has_alloc
-    w = np.where(pooled, weights, 0.0)
-    wsum = ordered_core_sums(w, core_ix, n_cores)
-    n_pooled = np.bincount(core_ix, weights=pooled.astype(np.float64), minlength=n_cores)
-    open_core = leftover > 0.0
-    # Equal split when every weight is zero, else weight-proportional;
-    # associativity matches the scalar path: ``(leftover * w) / wsum``.
-    equal = np.where(
-        open_core & (n_pooled > 0.0),
-        leftover / np.where(n_pooled > 0.0, n_pooled, 1.0),
-        0.0,
-    )
-    use_equal = wsum <= 0.0
-    prop = np.where(
-        open_core[core_ix] & ~use_equal[core_ix] & pooled,
-        (leftover[core_ix] * w) / np.where(wsum[core_ix] > 0.0, wsum[core_ix], 1.0),
-        0.0,
-    )
-    g_pooled = np.where(
-        pooled,
-        np.where(use_equal[core_ix], equal[core_ix], prop),
-        0.0,
-    )
-    grants = g_explicit + g_pooled
-
-    # Guard rounding overshoot exactly like the scalar path: compare the
-    # task-order fold of the grants against the supply and rescale.
-    totals = ordered_core_sums(grants, core_ix, n_cores)
-    overshoot = totals > supplies * (1.0 + 1e-9)
-    factor = np.where(overshoot, supplies / np.where(overshoot, totals, 1.0), 1.0)
-    grants = np.where(overshoot[core_ix], grants * factor[core_ix], grants)
-    # A supply-less core grants exactly 0.0 to everything.
-    grants = np.where(supplies[core_ix] <= 0.0, 0.0, grants)
-    return grants
-
-
 __all__ = [
     "ordered_core_sums",
     "clear_prices",
@@ -180,5 +113,4 @@ __all__ = [
     "settle_bids",
     "share_allowance",
     "update_unsatisfied_rounds",
-    "compute_grants_batch",
 ]

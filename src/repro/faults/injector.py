@@ -457,13 +457,14 @@ class FaultInjector:
         return task.total_beats
 
     def _apply_heartbeat_loss(self) -> None:
-        """Withhold the heartbeats of every task a window covers.
+        """Withhold the heartbeats of every active task a window covers.
 
-        Every task in ``sim.tasks`` is matched each tick, so arrivals and
-        tasks re-materialised on resume are covered too.  A task entering
-        a window is held at the count its monitor last saw, and released
-        when no window covers it: the observed rate collapses while real
-        work continues.
+        The withheld tasks and ``sim.active_tasks()`` are matched each
+        tick, so arrivals and tasks re-materialised on resume are covered
+        too; the engine withholds only active tasks' beats, so no other
+        task needs a look.  A task entering a window is held at the count
+        its monitor last saw, and released when no window covers it: the
+        observed rate collapses while real work continues.
         """
         if not self._has_heartbeat_loss:
             return
@@ -472,17 +473,18 @@ class FaultInjector:
         withheld = self._withheld
         if not withheld and self.schedule.active(now, FaultKind.HEARTBEAT_LOSS) is None:
             return
-        for task in sim.tasks:
-            if self.schedule.active(now, FaultKind.HEARTBEAT_LOSS, task.name) is None:
-                if task in withheld:
-                    withheld.discard(task)
-                    sim.withhold_heartbeats(task, None)
+        window = self.schedule.active
+        kind = FaultKind.HEARTBEAT_LOSS
+        for task in [t for t in withheld if window(now, kind, t.name) is None]:
+            withheld.discard(task)
+            sim.withhold_heartbeats(task, None)
+        for task in sim.active_tasks():
+            if window(now, kind, task.name) is None:
                 continue
             if task not in withheld:
                 withheld.add(task)
                 sim.withhold_heartbeats(task, self._beats_seen(task))
-            if task.is_active(now):
-                self.heartbeats_lost += 1  # this tick's sample is held back
+            self.heartbeats_lost += 1  # this tick's sample is held back
 
     # ------------------------------------------------------------------
     # Hotplug + per-tick pump

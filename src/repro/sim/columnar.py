@@ -33,6 +33,15 @@ and ``tests/sim/test_sync_barrier.py``):
   :class:`PoisonedStateError` instead of returning a stale float.
   The population changes only through :meth:`Simulation.add_task` and
   :meth:`Simulation.end_task`, which sync and drop the epoch.
+* **One dispatch pass.**  Every tick runs the same pass; the epoch's
+  start, end and frozen-until bounds only decide whether it needs row
+  masks (some mapped row has not started, has ended or is frozen by a
+  migration).  Grants come from the scheduler's one vectorised rule,
+  :func:`~repro.sim.scheduler.compute_grants_batch`, and the epoch keeps
+  them and the terms that follow while every row runs and their inputs
+  hold.  The object view waits for the barrier unless the tick inserts
+  load-dict keys or skips a mapped row; then every attribute is written
+  through.
 * **Epoch caching.**  Per-task constant arrays (start/end times, QoS
   bounds, per-beat costs, phase parameters) are rebuilt only when the
   placement mapping changes (:attr:`Placement.version`), the population
@@ -62,6 +71,7 @@ from ..tasks.phases import ConstantPhase, SinusoidalPhases, SquareWavePhases
 from ..tasks.task import Task
 from .engine import Simulation
 from .metrics import MetricsCollector, TaskSample, TickColumnBuffer, TickSample
+from .scheduler import compute_grants_batch
 
 
 class PoisonedStateError(RuntimeError):
@@ -412,33 +422,17 @@ class _Epoch:
         "alloc_has",
         "alloc_val",
         "weight_val",
-        "alloc_all",
-        "alloc_none",
         "max_start",
         "min_end",
         "fz",
         "fz_max",
-        "core_counts",
         "cost_const",
         "dem_const",
         "all_has_load",
         "g_key",
-        "g_sup_core",
         "g_grants",
-        "g_cons",
-        "g_beats_inc",
-        "g_work_inc",
-        "g_util",
-        "g_inst",
-        "g_load_c",
+        "g_terms",
     )
-
-    def core_supplies(self) -> "np.ndarray":
-        """Per-core supply this tick (uniform within a cluster)."""
-        per_cluster = np.fromiter(
-            (cl.supply_pus for cl in self.clusters), dtype=float, count=len(self.clusters)
-        )
-        return per_cluster[self.cluster_ix]
 
     def multipliers(self, now: float) -> "np.ndarray":
         """Per-row phase multiplier at ``now`` (same expressions as scalar)."""
@@ -464,18 +458,19 @@ class _Epoch:
         return m
 
     def refresh_grant_inputs(self, allocations: Dict[Task, float], weights: Dict[Task, float]) -> None:
+        """The rows' grant inputs, ``max(0, .)``-clamped as ``compute_grants`` reads them."""
         n = self.n
         self.alloc_has = np.fromiter(
             (t in allocations for t in self.tasks), dtype=bool, count=n
         )
-        self.alloc_val = np.fromiter(
+        alloc = np.fromiter(
             (allocations.get(t, 0.0) for t in self.tasks), dtype=float, count=n
         )
-        self.weight_val = np.fromiter(
+        weight = np.fromiter(
             (weights.get(t, 1.0) for t in self.tasks), dtype=float, count=n
         )
-        self.alloc_all = bool(self.alloc_has.all())
-        self.alloc_none = not self.alloc_all and not bool(self.alloc_has.any())
+        self.alloc_val = np.where(alloc > 0.0, alloc, 0.0)
+        self.weight_val = np.where(weight > 0.0, weight, 0.0)
         self.g_key = None
 
     def ordered_rows(self, active: "np.ndarray", frozen: "np.ndarray") -> List[int]:
@@ -810,7 +805,6 @@ class ColumnarSimulation(Simulation):
         ep.cores = cores
         ep.ncores = len(cores)
         ep.core_ix = np.repeat(np.arange(len(cores), dtype=np.intp), counts)
-        ep.core_counts = np.asarray(counts, dtype=float)
         ep.clusters = clusters
         ep.cluster_ix = np.asarray(cluster_ix, dtype=np.intp)
         ep.n = n
@@ -1162,17 +1156,9 @@ class ColumnarSimulation(Simulation):
         ep.alloc_has = None
         ep.alloc_val = None
         ep.weight_val = None
-        ep.alloc_all = False
-        ep.alloc_none = False
         ep.g_key = None
-        ep.g_sup_core = None
         ep.g_grants = None
-        ep.g_cons = None
-        ep.g_beats_inc = None
-        ep.g_work_inc = None
-        ep.g_util = None
-        ep.g_inst = None
-        ep.g_load_c = None
+        ep.g_terms = None
         self._grant_inputs_dirty = True
         self._hr_cache = None
         self._hr_stamp = -1
@@ -1191,8 +1177,7 @@ class ColumnarSimulation(Simulation):
         ep = self._epoch
         if ep is None or ep.version != placement.version or ep.dt != dt:
             ep = self._build_epoch()
-        n = ep.n
-        if n == 0:
+        if ep.n == 0:
             for core in ep.cores:
                 core.utilization = 0.0
             active = self.active_tasks()
@@ -1201,133 +1186,68 @@ class ColumnarSimulation(Simulation):
                     task.idle_tick(now, dt)
             return
 
-        if ep.max_start <= now < ep.min_end and ep.fz_max <= now:
-            self._dispatch_fast(ep, now, dt)
-            return
-
-        # The masked path writes zeros into frozen/inactive rows of the
-        # state columns; force the fast path to rebuild its consume cache
-        # (and re-write sup/con) on the next hot tick.
-        ep.g_key = None
-
-        active = (now >= ep.start) & (now < ep.end)
-        frozen = active & (ep.fz > now)
-        runnable = active & ~frozen
-        inactive_mapped = not bool(active.all())
-        # A freeze window alone (a migration's tick) touches every row
-        # and inserts no load-dict key, so the object view can wait for
-        # the barrier, as on the fast path.  Otherwise (arrival, retire)
-        # write every attribute through, as the object loop does.  The
-        # barrier first flushes whatever was deferred -- in particular
-        # load-dict values of rows inactive this tick, which the masked
-        # update below would otherwise leave stale.
-        defer = not inactive_mapped and ep.all_has_load
+        # Row masks only on a tick where some mapped row does not run: it
+        # has not started, it has ended, or a migration froze it.
+        active = frozen = runnable = None
+        skips = False
+        if not (ep.max_start <= now < ep.min_end and ep.fz_max <= now):
+            active = (now >= ep.start) & (now < ep.end)
+            frozen = active & (ep.fz > now)
+            runnable = active & ~frozen
+            skips = not bool(active.all())
+        rows = True if active is None else active
+        # The object view waits for the barrier unless the tick inserts
+        # load-dict keys (their order is part of the checkpoint bytes) or
+        # skips a mapped row.  Then the barrier first flushes what was
+        # deferred -- load values of skipped rows included -- and every
+        # attribute is written through, as the object loop does.
+        defer = ep.all_has_load and not skips
         if not defer:
             self.sync()
 
-        # Demand at ``now`` (same expression chain as Task.consume).
-        mult = ep.multipliers(now)
-        cost = ep.cost_base * mult
-        demand = ep.tgt_hr * cost
-
-        # Grants: vectorized compute_grants per core, same fold order.
-        cix = ep.core_ix
-        ncores = ep.ncores
-        sup_core = ep.core_supplies()
-        if self._grant_inputs_dirty or ep.alloc_has is None:
-            ep.refresh_grant_inputs(self._allocations, self._weights)
-            self._grant_inputs_dirty = False
-        expl = runnable & ep.alloc_has
-        pooled = runnable & ~ep.alloc_has
-        ev = np.where(expl, np.where(ep.alloc_val > 0.0, ep.alloc_val, 0.0), 0.0)
-        requested = np.bincount(cix, weights=ev, minlength=ncores)
-        need_scale = (requested > sup_core) & (requested > 0.0)
-        scale = np.where(
-            need_scale, sup_core / np.where(need_scale, requested, 1.0), 1.0
-        )
-        grants = ev * scale[cix]
-        granted_total = np.bincount(cix, weights=grants, minlength=ncores)
-        leftover = sup_core - granted_total
-        wv = np.where(pooled, np.where(ep.weight_val > 0.0, ep.weight_val, 0.0), 0.0)
-        total_w = np.bincount(cix, weights=wv, minlength=ncores)
-        npooled = np.bincount(cix[pooled], minlength=ncores)
-        weighted = (leftover[cix] * wv) / np.where(total_w > 0.0, total_w, 1.0)[cix]
-        equal = leftover[cix] / np.where(npooled > 0, npooled, 1)[cix]
-        pool_grant = np.where(total_w[cix] > 0.0, weighted, equal)
-        grants = np.where(pooled & (leftover[cix] > 0.0), pool_grant, grants)
-        total = np.bincount(cix, weights=grants, minlength=ncores)
-        over = total > sup_core * (1.0 + 1e-9)
-        if bool(over.any()):
-            factor = np.where(over, sup_core / np.where(over, total, 1.0), 1.0)
-            grants = grants * factor[cix]
-
-        # Consume (Task.consume, vectorized).
-        cons = grants
-        if ep.any_limit:
-            cons = np.where(ep.has_limit, np.minimum(grants, ep.limit * demand), grants)
-        beats = cons * dt / cost
-        np.add(ep.beats, beats, out=ep.beats, where=runnable)
-        np.add(ep.work, cons * dt, out=ep.work, where=runnable)
-        np.copyto(ep.sup, grants, where=runnable)
-        np.copyto(ep.con, cons, where=runnable)
-        if bool(frozen.any()):
-            np.copyto(ep.sup, 0.0, where=frozen)
-            np.copyto(ep.con, 0.0, where=frozen)
-
-        # Core utilization: in-order fold of consumed supply per core.
-        consumed_core = np.bincount(
-            cix, weights=np.where(runnable, cons, 0.0), minlength=ncores
-        )
-        util = np.where(
-            sup_core > 0.0,
-            np.minimum(1.0, consumed_core / np.where(sup_core > 0.0, sup_core, 1.0)),
-            0.0,
-        )
-        for core, u in zip(ep.cores, util.tolist()):
+        terms, fresh = self._tick_terms(ep, now, dt, runnable)
+        grants, cons, beats_inc, work_inc, util, inst, load_in = terms
+        ep.beats += beats_inc
+        ep.work += work_inc
+        if fresh:
+            np.copyto(ep.sup, grants, where=rows)
+            np.copyto(ep.con, cons, where=rows)
+        for core, u in zip(ep.cores, util):
             core.utilization = u
 
-        # Load tracking (LoadTracker.update, vectorized): runnable rows
-        # fold their granted supply, frozen rows fold zero supply.
-        g_eff = np.where(runnable, grants, 0.0)
-        inst = np.where(
-            demand <= 0.0,
-            0.0,
-            np.where(
-                g_eff <= 0.0,
-                1.0,
-                np.minimum(1.0, demand / np.where(g_eff > 0.0, g_eff, 1.0)),
-            ),
-        )
+        # LoadTracker.update: a row's first fold starts from its own
+        # instantaneous load.
         decay = self.load_tracker.decay_for(dt)
-        prev = np.where(ep.has_load, ep.load, inst)
-        np.copyto(ep.load, decay * prev + (1.0 - decay) * inst, where=active)
-        ep.has_load |= active
-        tasks = ep.tasks
-        if not defer:
-            if bool(frozen.any()):
-                order = ep.ordered_rows(active, frozen)
-            else:
-                order = np.nonzero(active)[0].tolist()
-            loads = ep.load
-            self.load_tracker.update_many(
-                (tasks[i], v) for i, v in zip(order, loads[order].tolist())
-            )
+        load = ep.load
+        prev = load if ep.all_has_load else np.where(ep.has_load, load, inst)
+        np.add(decay * prev, load_in, out=load, where=rows)
+        if not ep.all_has_load:
+            ep.has_load |= rows
+            ep.all_has_load = bool(ep.has_load.all())
 
-        # Heartbeats: both runnable and frozen rows record; inactive
-        # mapped tasks do not.
+        # Heartbeats: runnable and frozen rows record; skipped rows do not.
         ep.rings.append(now + dt, ep.beats, active)
 
+        tasks = ep.tasks
         if defer:
+            # Stamp with tick_index + 1: tick_index is 0-based and the
+            # synced stamps start at 0, so tick 0's writes must land
+            # strictly above them.
             dirty = self._col_dirty
             ti = self.tick_index + 1
-            for col in dirty:
-                dirty[col] = ti
+            dirty["beats"] = dirty["work"] = dirty["load"] = ti
+            if fresh:
+                dirty["sup"] = dirty["con"] = ti
             self._view_dirty = True
             self._poison_view(tasks)
         else:
-            # Write-through: the task attributes stay authoritative, so
-            # every out-of-band reader/mutator (faults, snapshots,
-            # admission, tests) keeps working unchanged.
+            if active is None:
+                self.load_tracker.update_many(zip(tasks, load.tolist()))
+            else:
+                order = ep.ordered_rows(active, frozen)
+                self.load_tracker.update_many(
+                    (tasks[i], v) for i, v in zip(order, load[order].tolist())
+                )
             bl = ep.beats.tolist()
             wl = ep.work.tolist()
             sl = ep.sup.tolist()
@@ -1341,10 +1261,64 @@ class ColumnarSimulation(Simulation):
         # Active tasks not mapped to any core idle in place (same scan
         # condition as the object engine).
         active_list = self.active_tasks()
-        if inactive_mapped or placement.placed_count() != len(active_list):
+        if skips or placement.placed_count() != len(active_list):
             for task in active_list:
                 if not placement.is_placed(task):
                     task.idle_tick(now, dt)
+
+    def _tick_terms(
+        self, ep: _Epoch, now: float, dt: float, runnable: Optional["np.ndarray"]
+    ) -> Tuple[tuple, bool]:
+        """The tick's per-row dispatch terms, and whether they are new.
+
+        The terms are the grants, the consumed supply, the beat and work
+        increments, the per-core utilisation, and the instantaneous load
+        with its EWMA input: ``Task.consume`` and ``LoadTracker.update``
+        for the ``runnable`` rows (every row when ``None``), and zero
+        supply for every other row.  While every row runs, the epoch
+        keeps the grants until the supplies, allocations or weights
+        change, and the rest while the phase multipliers are constant too.
+        """
+        if self._grant_inputs_dirty or ep.alloc_has is None:
+            ep.refresh_grant_inputs(self._allocations, self._weights)
+            self._grant_inputs_dirty = False
+        key = tuple(cl.supply_pus for cl in ep.clusters)
+        if runnable is None and ep.g_key == key:
+            if ep.dem_const is not None:
+                return ep.g_terms, False
+            sup, grants = ep.g_grants
+        else:
+            sup = np.asarray(key, dtype=float)[ep.cluster_ix]
+            grants = compute_grants_batch(
+                ep.core_ix, ep.ncores, sup, ep.alloc_val, ep.alloc_has, ep.weight_val, runnable
+            )
+            ep.g_key = key if runnable is None else None
+            ep.g_grants = (sup, grants)
+        if ep.dem_const is not None:
+            demand, cost = ep.dem_const, ep.cost_const
+        else:
+            cost = ep.cost_base * ep.multipliers(now)
+            demand = ep.tgt_hr * cost
+        cons = grants
+        if ep.any_limit:
+            cons = np.where(ep.has_limit, np.minimum(grants, ep.limit * demand), grants)
+        work = cons * dt
+        consumed = np.bincount(ep.core_ix, weights=cons, minlength=ep.ncores)
+        util = np.where(
+            sup > 0.0, np.minimum(1.0, consumed / np.where(sup > 0.0, sup, 1.0)), 0.0
+        ).tolist()
+        inst = np.where(
+            demand <= 0.0,
+            0.0,
+            np.where(
+                grants <= 0.0,
+                1.0,
+                np.minimum(1.0, demand / np.where(grants > 0.0, grants, 1.0)),
+            ),
+        )
+        load_in = (1.0 - self.load_tracker.decay_for(dt)) * inst
+        ep.g_terms = (grants, cons, work / cost, work, util, inst, load_in)
+        return ep.g_terms, True
 
     def _poison_view(self, tasks: List[Task]) -> None:
         """Under :attr:`poison`, trap reads of the attributes a barrier owes."""
@@ -1356,168 +1330,3 @@ class ColumnarSimulation(Simulation):
                 t.last_supply_pus = ps
                 t.last_consumed_pus = pc
             self._poisoned = True
-
-    def _grants_all(self, ep: _Epoch, sup_core: "np.ndarray") -> "np.ndarray":
-        """compute_grants over every core with all mapped tasks runnable.
-
-        Identical fold order to the masked path in :meth:`_dispatch`; the
-        all-explicit / all-pooled shortcuts skip arms whose inputs are
-        statically zero, which leaves the surviving expressions unchanged.
-        """
-        cix = ep.core_ix
-        ncores = ep.ncores
-        if ep.alloc_all:
-            av = ep.alloc_val
-            ev = np.where(av > 0.0, av, 0.0)
-            requested = np.bincount(cix, weights=ev, minlength=ncores)
-            need_scale = (requested > sup_core) & (requested > 0.0)
-            scale = np.where(
-                need_scale, sup_core / np.where(need_scale, requested, 1.0), 1.0
-            )
-            grants = ev * scale[cix]
-            total = np.bincount(cix, weights=grants, minlength=ncores)
-        elif ep.alloc_none:
-            # No explicit allocations: grants start at zero, the whole
-            # supply is the leftover shared by the pooled (= all) tasks.
-            leftover = sup_core
-            wv = np.where(ep.weight_val > 0.0, ep.weight_val, 0.0)
-            total_w = np.bincount(cix, weights=wv, minlength=ncores)
-            npooled = ep.core_counts
-            weighted = (leftover[cix] * wv) / np.where(total_w > 0.0, total_w, 1.0)[cix]
-            equal = leftover[cix] / np.where(npooled > 0, npooled, 1)[cix]
-            pool_grant = np.where(total_w[cix] > 0.0, weighted, equal)
-            grants = np.where(leftover[cix] > 0.0, pool_grant, 0.0)
-            total = np.bincount(cix, weights=grants, minlength=ncores)
-        else:
-            expl = ep.alloc_has
-            ev = np.where(expl, np.where(ep.alloc_val > 0.0, ep.alloc_val, 0.0), 0.0)
-            requested = np.bincount(cix, weights=ev, minlength=ncores)
-            need_scale = (requested > sup_core) & (requested > 0.0)
-            scale = np.where(
-                need_scale, sup_core / np.where(need_scale, requested, 1.0), 1.0
-            )
-            grants = ev * scale[cix]
-            granted_total = np.bincount(cix, weights=grants, minlength=ncores)
-            leftover = sup_core - granted_total
-            pooled = ~expl
-            wv = np.where(pooled, np.where(ep.weight_val > 0.0, ep.weight_val, 0.0), 0.0)
-            total_w = np.bincount(cix, weights=wv, minlength=ncores)
-            npooled = np.bincount(cix[pooled], minlength=ncores)
-            weighted = (leftover[cix] * wv) / np.where(total_w > 0.0, total_w, 1.0)[cix]
-            equal = leftover[cix] / np.where(npooled > 0, npooled, 1)[cix]
-            pool_grant = np.where(total_w[cix] > 0.0, weighted, equal)
-            grants = np.where(pooled & (leftover[cix] > 0.0), pool_grant, grants)
-            total = np.bincount(cix, weights=grants, minlength=ncores)
-        over = total > sup_core * (1.0 + 1e-9)
-        if bool(over.any()):
-            factor = np.where(over, sup_core / np.where(over, total, 1.0), 1.0)
-            grants = grants * factor[cix]
-        return grants
-
-    def _dispatch_fast(self, ep: _Epoch, now: float, dt: float) -> None:
-        """Hot tick: every mapped task is active and unfrozen.
-
-        Grants depend only on (allocations, weights, per-cluster supply);
-        consumption additionally on the phase multiplier.  Both layers are
-        cached and reused until one of their inputs changes, so between
-        market rounds a tick reduces to the genuinely time-varying work:
-        beat/work accumulation, the load EWMA fold and heart-rate ring
-        appends.  The written columns are marked dirty; the object view
-        waits for the next :meth:`sync` barrier.
-        """
-        tasks = ep.tasks
-        if self._grant_inputs_dirty or ep.alloc_has is None:
-            ep.refresh_grant_inputs(self._allocations, self._weights)
-            self._grant_inputs_dirty = False
-        sup_key = tuple(cl.supply_pus for cl in ep.clusters)
-        if ep.g_key != sup_key:
-            ep.g_sup_core = np.asarray(sup_key, dtype=float)[ep.cluster_ix]
-            ep.g_grants = self._grants_all(ep, ep.g_sup_core)
-            ep.g_key = sup_key
-            refresh = True
-        else:
-            refresh = ep.dem_const is None
-        if refresh:
-            if ep.dem_const is not None:
-                demand, cost = ep.dem_const, ep.cost_const
-            else:
-                mult = ep.multipliers(now)
-                cost = ep.cost_base * mult
-                demand = ep.tgt_hr * cost
-            grants = ep.g_grants
-            cons = grants
-            if ep.any_limit:
-                cons = np.where(
-                    ep.has_limit, np.minimum(grants, ep.limit * demand), grants
-                )
-            ep.g_cons = cons
-            ep.g_beats_inc = cons * dt / cost
-            ep.g_work_inc = cons * dt
-            consumed_core = np.bincount(ep.core_ix, weights=cons, minlength=ep.ncores)
-            sup_core = ep.g_sup_core
-            ep.g_util = np.where(
-                sup_core > 0.0,
-                np.minimum(1.0, consumed_core / np.where(sup_core > 0.0, sup_core, 1.0)),
-                0.0,
-            ).tolist()
-            inst = np.where(
-                demand <= 0.0,
-                0.0,
-                np.where(
-                    grants <= 0.0,
-                    1.0,
-                    np.minimum(1.0, demand / np.where(grants > 0.0, grants, 1.0)),
-                ),
-            )
-            ep.g_inst = inst
-            ep.g_load_c = (1.0 - self.load_tracker.decay_for(dt)) * inst
-            ep.sup[...] = grants
-            ep.con[...] = cons
-            # Stamp with tick_index + 1: tick_index is 0-based and the
-            # synced stamps start at 0, so tick 0's writes must land
-            # strictly above them.
-            dirty = self._col_dirty
-            ti = self.tick_index + 1
-            dirty["sup"] = dirty["con"] = ti
-            self._view_dirty = True
-
-        # Time-varying tail: accumulate, fold, record.
-        ep.beats += ep.g_beats_inc
-        ep.work += ep.g_work_inc
-        for core, u in zip(ep.cores, ep.g_util):
-            core.utilization = u
-        decay = self.load_tracker.decay_for(dt)
-        load = ep.load
-        if ep.all_has_load:
-            np.add(decay * load, ep.g_load_c, out=load)
-            # Every key is already present, so deferring the dict write
-            # cannot change insertion order; sync() updates values in
-            # place.
-            self._col_dirty["load"] = self.tick_index + 1
-            self._view_dirty = True
-        else:
-            prev = np.where(ep.has_load, load, ep.g_inst)
-            np.add(decay * prev, ep.g_load_c, out=load)
-            ep.has_load[...] = True
-            ep.all_has_load = True
-            # First fold for some rows: the dict update below may insert
-            # new keys, whose position is part of the checkpoint bytes --
-            # so write through now.
-            self.load_tracker.update_many(zip(tasks, load.tolist()))
-
-        ep.rings.append(now + dt, ep.beats)
-
-        # sup/con are unchanged on cache-hit ticks, so only the
-        # accumulating columns are marked for the barrier here.
-        dirty = self._col_dirty
-        ti = self.tick_index + 1
-        dirty["beats"] = dirty["work"] = ti
-        self._view_dirty = True
-        self._poison_view(tasks)
-
-        active_list = self.active_tasks()
-        placement = self.placement
-        if placement.placed_count() != len(active_list):
-            for task in active_list:
-                if not placement.is_placed(task):
-                    task.idle_tick(now, dt)

@@ -11,11 +11,16 @@ the core's supply (e.g. the cluster's frequency just dropped under the
 market's feet) they are scaled down proportionally, which is what a
 share-based scheduler would do.  Remaining supply after explicit
 allocations is split among weighted tasks by weight.
+
+:func:`compute_grants_batch` states the same rule over every core at
+once, for the columnar engine.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping, Optional, Sequence
+
+import numpy as np
 
 from ..tasks.task import Task
 
@@ -103,4 +108,61 @@ def compute_grants(
         factor = core_supply_pus / total
         for task in grants:
             grants[task] *= factor
+    return grants
+
+
+def compute_grants_batch(
+    core_ix: "np.ndarray",
+    n_cores: int,
+    supplies: "np.ndarray",
+    alloc: "np.ndarray",
+    has_alloc: "np.ndarray",
+    weights: "np.ndarray",
+    runnable: Optional["np.ndarray"] = None,
+) -> "np.ndarray":
+    """:func:`compute_grants` on every core at once, bit for bit.
+
+    Per-core sums are ``np.bincount`` folds, which add in row order: the
+    scalar rule's left-to-right loops over a core's tasks, given rows in
+    per-core dispatch order.  (``np.sum`` folds pairwise and must not
+    replace them.)  Each row's arithmetic is the scalar expression.
+
+    Args:
+        core_ix: Core index per row, rows in per-core dispatch order.
+        n_cores: Number of cores.
+        supplies: Supply in PUs per core, non-negative.
+        alloc: Explicit allocation per row, already ``max(0, .)``-clamped
+            and 0.0 where ``has_alloc`` is False.
+        has_alloc: Whether the row has an explicit allocation.
+        weights: Fair-share weight per row, already ``max(0, .)``-clamped.
+        runnable: The rows that run this tick (every row when ``None``):
+            the scalar rule's ``tasks``.  Every other row is granted +0.0
+            and adds nothing to its core's sums.
+    """
+    if runnable is None:
+        pooled = ~has_alloc
+    else:
+        alloc = np.where(runnable, alloc, 0.0)
+        pooled = runnable & ~has_alloc
+    requested = np.bincount(core_ix, weights=alloc, minlength=n_cores)
+    scaled = requested > supplies  # so requested > 0.0 too
+    scale = np.where(scaled, supplies / np.where(scaled, requested, 1.0), 1.0)
+    grants = alloc * scale[core_ix]
+    # The fair-share arm, skipped when every row has an explicit allocation.
+    if pooled.any():
+        leftover = (supplies - np.bincount(core_ix, weights=grants, minlength=n_cores))[core_ix]
+        w = np.where(pooled, weights, 0.0)
+        total_w = np.bincount(core_ix, weights=w, minlength=n_cores)[core_ix]
+        n_pooled = np.bincount(core_ix[pooled], minlength=n_cores)[core_ix]
+        share = np.where(
+            total_w > 0.0,
+            (leftover * w) / np.where(total_w > 0.0, total_w, 1.0),
+            leftover / np.where(n_pooled > 0, n_pooled, 1),
+        )
+        grants = np.where(pooled & (leftover > 0.0), share, grants)
+    # The scalar rule's overshoot guard, on the row-order fold.
+    total = np.bincount(core_ix, weights=grants, minlength=n_cores)
+    over = total > supplies * (1.0 + 1e-9)
+    if over.any():
+        grants = grants * np.where(over, supplies / np.where(over, total, 1.0), 1.0)[core_ix]
     return grants

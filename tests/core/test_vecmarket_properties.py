@@ -3,14 +3,16 @@
 Two kinds of guarantee, both driven by hypothesis:
 
 * **Market invariants** -- prices never negative, settled bids respect the
-  ``[bmin, budget]`` clamp, savings stay within the cap, grants are
-  non-negative and a core's in-order grant fold never exceeds its supply
-  beyond the scalar path's own rounding guard.
+  ``[bmin, budget]`` clamp, savings stay within the cap, purchases are
+  non-negative and a priced core's purchases recover its supply.
 * **Scalar-oracle agreement** -- every kernel must reproduce the
   per-agent scalar arithmetic (``TaskAgent.place_bid``, ``Wallet.settle``,
   ``CoreAgent``'s ``sum(bids)/S_c``, ``distribute_allowance``'s
-  priority split, ``compute_grants``) *bit for bit*, because replay
-  journals and golden telemetry digests depend on exact float identity.
+  priority split) *bit for bit*, because replay journals and golden
+  telemetry digests depend on exact float identity.
+
+The scheduler's grant kernel is tested next to the scalar rule, in
+``tests/sim/test_scheduler.py``.
 """
 
 import numpy as np
@@ -22,14 +24,12 @@ from repro.core.agents import TaskAgent
 from repro.core.money import Wallet
 from repro.core.vecmarket import (
     clear_prices,
-    compute_grants_batch,
     grants_at_prices,
     ordered_core_sums,
     settle_bids,
     share_allowance,
     update_unsatisfied_rounds,
 )
-from repro.sim.scheduler import compute_grants
 
 N_CORES = 4
 
@@ -217,47 +217,3 @@ class TestUnsatisfiedRounds:
             agent.unsatisfied_rounds = int(unsat[k])
             agent.note_round_outcome()
             assert int(out[k]) == agent.unsatisfied_rounds
-
-
-class TestComputeGrantsBatch:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        rows=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=N_CORES - 1),
-                st.booleans(),  # has explicit allocation
-                _money,  # allocation value (if explicit)
-                st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            ),
-            min_size=1, max_size=16),
-        supplies=st.lists(_pos, min_size=N_CORES, max_size=N_CORES),
-    )
-    def test_matches_scalar_compute_grants(self, rows, supplies):
-        core_ix = np.asarray([r[0] for r in rows], dtype=np.intp)
-        has_alloc = np.asarray([r[1] for r in rows], dtype=bool)
-        alloc = np.asarray(
-            [max(0.0, r[2]) if r[1] else 0.0 for r in rows], dtype=float)
-        weights = np.asarray([max(0.0, r[3]) for r in rows], dtype=float)
-        sup = np.asarray(supplies, dtype=float)
-
-        grants = compute_grants_batch(core_ix, N_CORES, sup, alloc,
-                                      has_alloc, weights)
-        assert (grants >= 0.0).all()
-
-        names = ["t%d" % k for k in range(len(rows))]
-        for c in range(N_CORES):
-            members = [k for k in range(len(rows)) if core_ix[k] == c]
-            tasks = [names[k] for k in members]
-            allocations = {names[k]: float(rows[k][2])
-                           for k in members if has_alloc[k]}
-            wmap = {names[k]: float(weights[k]) for k in members}
-            scalar = compute_grants(float(sup[c]), tasks, allocations, wmap)
-            # In-order fold never exceeds supply past the rounding guard.
-            total = 0.0
-            for name in tasks:
-                total += scalar[name]
-            assert total <= float(sup[c]) * (1.0 + 1e-9) or total == 0.0
-            for k in members:
-                assert grants[k] == scalar[names[k]], (
-                    "core %d task %s: %r vs %r"
-                    % (c, names[k], float(grants[k]), scalar[names[k]]))

@@ -17,7 +17,9 @@ at any task count.  These tests hold the engine to that promise two ways:
   cluster is hot-unplugged, and a task placed before it starts;
 * populations of 96 and 128 tasks under PPM at 4 W, where the vector
   market and LBT run and every move permutes the columnar epoch, plain
-  and with a hotplug or a migration-fail window;
+  and with a hotplug or a migration-fail window; these and the task
+  placed before its start are also pinned to reach the columnar loop's
+  masked tick, with frozen and with skipped rows;
 * hypothesis-generated configurations sweeping task mixes, governors,
   sensor noise, thermal tracking and estimated-power operation, so any
   columnar fast path that is only exercised under an odd combination
@@ -270,24 +272,60 @@ MOVING_SHAPES = [
 ]
 
 
+MOVING_IDS = ["128", "96-hotplug", "96-migration-fail"]
+
+
+def _build_moving(engine, n, task_seed, window):
+    return _build(engine, workload=("random", n, task_seed), governor="PPM",
+                  seed=task_seed, noise_w=0.0, fault=None, duration_s=6.0,
+                  power_cap_w=4.0, window=window)
+
+
 class TestMovingPopulationEquivalence:
     """PPM at 4 W for 6 s on populations the LBT keeps moving."""
 
-    @pytest.mark.parametrize(
-        "n,task_seed,window,moves,failed",
-        MOVING_SHAPES,
-        ids=["128", "96-hotplug", "96-migration-fail"],
-    )
+    @pytest.mark.parametrize("n,task_seed,window,moves,failed", MOVING_SHAPES, ids=MOVING_IDS)
     def test_engines_agree_through_moves(self, n, task_seed, window, moves, failed):
-        kw = dict(workload=("random", n, task_seed), governor="PPM", seed=task_seed,
-                  noise_w=0.0, fault=None, duration_s=6.0, power_cap_w=4.0,
-                  window=window)
-        obj = _build(ObjectSimulation, **kw)
-        col = _build(ColumnarSimulation, **kw)
+        obj = _build_moving(ObjectSimulation, n, task_seed, window)
+        col = _build_moving(ColumnarSimulation, n, task_seed, window)
         _assert_equivalent(obj, col, "random/n=%d/seed=%d" % (n, task_seed))
         for sim in (obj, col):
             assert sim.governor.moves_executed == moves
             assert sim.failed_migrations == failed
+
+
+class TestMaskedTicksReached:
+    """The shapes above still reach the columnar loop's masked tick.
+
+    A tick takes row masks when some mapped row does not run: a migration
+    froze it, or it has not started.  Each masked call of
+    ``ColumnarSimulation._tick_terms`` is counted here, with its frozen
+    rows (active, not runnable) and its skipped rows (not active).
+    """
+
+    @pytest.fixture
+    def masked(self, monkeypatch):
+        calls = []
+        tick_terms = ColumnarSimulation._tick_terms
+
+        def counting(sim, ep, now, dt, runnable):
+            if runnable is not None:
+                active = (now >= ep.start) & (now < ep.end)
+                calls.append((int((active & ~runnable).sum()), int((~active).sum())))
+            return tick_terms(sim, ep, now, dt, runnable)
+
+        monkeypatch.setattr(ColumnarSimulation, "_tick_terms", counting)
+        return calls
+
+    @pytest.mark.parametrize("n,task_seed,window,moves,failed", MOVING_SHAPES, ids=MOVING_IDS)
+    def test_moves_freeze_rows(self, masked, n, task_seed, window, moves, failed):
+        _build_moving(ColumnarSimulation, n, task_seed, window)
+        assert any(frozen for frozen, _skipped in masked)
+
+    def test_a_task_placed_before_its_start_is_skipped(self, masked):
+        # The arrivals shape skips no row: retirement runs before dispatch.
+        _build_off_map(ColumnarSimulation, "PPM", "preplaced")
+        assert any(skipped for _frozen, skipped in masked)
 
 
 # Hypothesis sweep.  Short runs keep each example cheap; the space still
