@@ -14,6 +14,7 @@ the agents and Linux:
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -84,6 +85,8 @@ class PPMGovernor:
         self._round_counter = 0
         self._last_move_time: Dict[str, float] = {}
         self.last_round: Optional[RoundResult] = None
+        #: (row tuple, the engine's task for each row) of the last round.
+        self._grant_rows: Optional[tuple] = None
         self.moves_executed = 0
         #: Optional :class:`~repro.core.telemetry.MarketRecorder`, shown the
         #: market after every bid period that ran a round; set by its
@@ -179,7 +182,8 @@ class PPMGovernor:
                 chip_power_w=self._last_observed_power_w,
                 wtdp=self.config.market.wtdp,
                 prices=result.prices,
-                allocations=result.allocations,
+                task_ids=result.task_ids,
+                supplies=result.supplies,
             )
             if tripped:
                 self._enter_safe_mode(sim)
@@ -311,8 +315,10 @@ class PPMGovernor:
     def _round_result_from_json(data: Optional[dict]) -> Optional[RoundResult]:
         if data is None:
             return None
+        allocations = data["allocations"]
         return RoundResult(
-            allocations=dict(data["allocations"]),
+            task_ids=tuple(allocations),
+            supplies=array("d", allocations.values()),
             level_requests=dict(data["level_requests"]),
             chip_state=ChipPowerState(data["chip_state"]),
             allowance=data["allowance"],
@@ -616,16 +622,13 @@ class PPMGovernor:
             },
         )
         result = self.market.run_round(obs)
-        tasks_by_id = self._tasks_by_id
-        updates = {}
-        for task_id, allocation in result.allocations.items():
-            task = tasks_by_id.get(task_id)
-            if task is not None:
-                updates[task] = allocation
-        if updates:
-            # One bulk dict update (same insertion order and clamping as
-            # a set_allocation loop) and one grant-cache invalidation.
-            sim.set_allocations(updates)
+        rows = self._grant_rows
+        if rows is None or rows[0] is not result.task_ids:
+            # Mapped once per row tuple: ``_tasks_by_id`` changes only
+            # with the market's membership, which hands out a new one.
+            tasks = tuple(map(self._tasks_by_id.__getitem__, result.task_ids))
+            rows = self._grant_rows = (result.task_ids, tasks)
+        sim.set_allocations(rows[1], result.supplies)
         for cluster_id, level in result.level_requests.items():
             cluster = sim.chip.cluster(cluster_id)
             if self.dvfs_supervisor is not None:

@@ -27,8 +27,12 @@ Round protocol (sections 3.2.1-3.2.3, validated against Tables 1-3):
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Set, Tuple
+
+import numpy as np
 
 from ..sim.engine import VEC_MIN_TASKS
 from .agents import (
@@ -65,11 +69,20 @@ class MarketObservations:
     cluster_power_w: Dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False)
 class RoundResult:
-    """Outcome of one market round."""
+    """Outcome of one market round.
 
-    allocations: Dict[str, float]  #: supply ``s_t`` purchased per task
+    The grants are one column over the market's rows, in the order both
+    clearing paths visit the agents: cluster, then core, then
+    registration.
+    """
+
+    task_ids: Tuple[str, ...]  #: the rows
+    #: Supply ``s_t`` purchased per row, as float64: the vectorized
+    #: clearing's read-only array, or the scalar steps' ``array('d')``,
+    #: which keeps numpy calls out of a six-task round's hand-over.
+    supplies: np.ndarray | array
     level_requests: Dict[str, int]  #: cluster -> requested V-F level index
     chip_state: ChipPowerState
     allowance: float
@@ -77,6 +90,18 @@ class RoundResult:
     frozen_clusters: Set[str]
     total_demand: float  #: chip demand ``D`` (sum of constrained-core demands)
     total_supply: float  #: chip supply ``S`` (sum of cluster supplies)
+    _allocations: Optional[Mapping[str, float]] = field(
+        default=None, init=False, repr=False
+    )
+
+    @property
+    def allocations(self) -> Mapping[str, float]:
+        """Read-only ``task_id -> supply`` over the rows, built on first read."""
+        if self._allocations is None:
+            self._allocations = MappingProxyType(
+                dict(zip(self.task_ids, self.supplies.tolist()))
+            )
+        return self._allocations
 
 
 class Market:
@@ -117,6 +142,8 @@ class Market:
         # by each move.
         self._clearing_struct: Optional[tuple] = None
         self._round_struct: Optional[tuple] = None
+        # Task ids in row order, dropped by a membership change or a move.
+        self._row_ids: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------------
     # Topology and placement registry
@@ -191,6 +218,7 @@ class Market:
     def _membership_changed(self) -> None:
         self.structure_stamp += 1
         self.moves = []
+        self._row_ids = None
 
     def move_task(self, task_id: str, core_id: str) -> None:
         """Update the market's view of a migration; agent state persists.
@@ -209,6 +237,7 @@ class Market:
         old_index = bucket.index(task_id)
         del bucket[old_index]
         new_index = self._insert_in_seq_order(core_id, task_id)
+        self._row_ids = None
         if len(self.moves) >= self._MAX_MOVES:
             self._membership_changed()
             return
@@ -231,6 +260,20 @@ class Market:
             index -= 1
         bucket.insert(index, task_id)
         return index
+
+    def row_ids(self) -> Tuple[str, ...]:
+        """Task ids in row order: cluster -> core -> registration.
+
+        One tuple per row order, dropped by a membership change or a
+        move, so round results can share it; the clearing structure's
+        agent list cannot be handed out, as moves patch it in place.
+        """
+        if self._row_ids is None:
+            rows: List[str] = []
+            for cluster_id in self.clusters:
+                rows.extend(self.cluster_roster(cluster_id))
+            self._row_ids = tuple(rows)
+        return self._row_ids
 
     def cluster_roster(self, cluster_id: str) -> List[str]:
         """Task ids on ``cluster_id``: its cores in order, each in registration order."""
@@ -265,8 +308,6 @@ class Market:
         Rows run cluster -> core -> registration order, so ``core_ix`` is
         sorted and a core's block starts at its first slot index.
         """
-        import numpy as np
-
         struct = self._clearing_struct
         if struct is None or struct[0] != self.structure_stamp:
             return
@@ -532,9 +573,8 @@ class Market:
         arithmetic is IEEE-identical and every per-core reduction is an
         in-order ``bincount`` fold (see :mod:`repro.core.vecmarket`).
         Also folds in ``note_round_outcome``, which the caller then skips.
+        Returns the supply column over the rows and the price per core.
         """
-        import numpy as np
-
         cfg = self.config
 
         # Gather agents in the order the scalar loops visit them:
@@ -676,9 +716,7 @@ class Market:
             ):
                 core.base_price = p
 
-        allocations = {
-            a.task_id: sp for a, sp in zip(agents, supply.tolist())
-        }
+        supply.flags.writeable = False
         prices = {
             core.core_id: price_list[slot]
             for slot, core in enumerate(slot_cores)
@@ -688,7 +726,7 @@ class Market:
                 for core_id in cluster.core_ids:
                     self.cores[core_id].reset_base_price()
                 cluster.freeze = ClusterFreeze.ACTIVE
-        return allocations, prices
+        return supply, prices
 
     # ------------------------------------------------------------------
     # The round engine
@@ -805,7 +843,7 @@ class Market:
         use_vec = len(self.tasks) >= VEC_MIN_TASKS
         if use_vec:
             # Steps 3-5 plus the persistence counters, as array kernels.
-            allocations, prices = self._run_clearing_vectorized(
+            supplies, prices = self._run_clearing_vectorized(
                 obs, core_agents, cluster_agents
             )
         else:
@@ -832,7 +870,7 @@ class Market:
 
             # 5. Price discovery and purchase.  A cluster still AWAITING its
             #    transition keeps last round's prices and allocations.
-            allocations = {}
+            row_supplies: List[float] = []
             prices = {}
             for cluster in self.clusters.values():
                 supply = cluster.supply
@@ -841,8 +879,7 @@ class Market:
                     agents = core_agents[core_id]
                     if cluster.freeze is ClusterFreeze.AWAITING:
                         prices[core_id] = core.price
-                        for agent in agents:
-                            allocations[agent.task_id] = agent.supply
+                        row_supplies.extend(agent.supply for agent in agents)
                         continue
                     if not agents:
                         core.price = 0.0
@@ -852,11 +889,12 @@ class Market:
                     prices[core_id] = price
                     for agent in agents:
                         agent.supply = agent.bid / price if price > 0.0 else 0.0
-                        allocations[agent.task_id] = agent.supply
+                        row_supplies.append(agent.supply)
                 if cluster.freeze is ClusterFreeze.OBSERVING:
                     for core_id in cluster.core_ids:
                         self.cores[core_id].reset_base_price()
                     cluster.freeze = ClusterFreeze.ACTIVE
+            supplies = array("d", row_supplies)
 
         # 6. DVFS decisions (clusters that just observed skip one round so
         #    the market settles on the new base price first).
@@ -917,7 +955,8 @@ class Market:
             if c.freeze is not ClusterFreeze.ACTIVE
         }
         return RoundResult(
-            allocations=allocations,
+            task_ids=self.row_ids(),
+            supplies=supplies,
             level_requests=level_requests,
             chip_state=self.chip.state,
             allowance=self.chip.allowance,

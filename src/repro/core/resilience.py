@@ -22,9 +22,12 @@ fault model that exercises them lives in :mod:`repro.faults`.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..hw.sensors import SensorSample
 from .ladder import Ladder
@@ -350,16 +353,31 @@ class MarketWatchdog:
         chip_power_w: float,
         wtdp: Optional[float],
         prices: Optional[Dict[str, float]] = None,
-        allocations: Optional[Dict[str, float]] = None,
+        task_ids: Sequence[str] = (),
+        supplies: Optional[np.ndarray | array] = None,
     ) -> bool:
-        """Feed one completed round; returns True if it trips safe mode."""
+        """Feed one completed round; returns True if it trips safe mode.
+
+        ``supplies`` is the round's supply column over the rows
+        ``task_ids`` (see ``RoundResult``); a non-finite entry trips with
+        the first such row.  An array is checked in one pass, a scalar
+        round's short ``array('d')`` by a walk.
+        """
         self._failures = 0
         if self.state is not WatchdogState.HEALTHY:
             return False
-        for label, values in (("price", prices), ("allocation", allocations)):
-            for key, value in (values or {}).items():
+        for key, value in (prices or {}).items():
+            if not math.isfinite(value):
+                self._trip(f"non-finite price for {key}: {value}")
+                return True
+        if supplies is not None and not (
+            np.isfinite(supplies).all()
+            if isinstance(supplies, np.ndarray)
+            else all(map(math.isfinite, supplies))
+        ):
+            for key, value in zip(task_ids, supplies.tolist()):
                 if not math.isfinite(value):
-                    self._trip(f"non-finite {label} for {key}: {value}")
+                    self._trip(f"non-finite allocation for {key}: {value}")
                     return True
         if wtdp is not None and chip_power_w > self.config.divergence_factor * wtdp:
             self._diverging += 1

@@ -42,6 +42,13 @@ and ``tests/sim/test_sync_barrier.py``):
   hold.  The object view waits for the barrier unless the tick inserts
   load-dict keys or skips a mapped row; then every attribute is written
   through.
+* **Grants by row.**  A market round hands its grants over as one column
+  in the market's row order (:meth:`ColumnarSimulation.set_allocations`),
+  scattered into the epoch's grant inputs through a row index the epoch
+  holds, so the index goes with its epoch.  A move's permutation carries
+  the inputs over; only a seed, or an edit through ``set_allocation``,
+  ``clear_allocation(s)`` or ``set_weight``, rebuilds them from the
+  allocation and weight dicts.
 * **Epoch caching.**  Per-task constant arrays (start/end times, QoS
   bounds, per-beat costs, phase parameters) are rebuilt only when the
   placement mapping changes (:attr:`Placement.version`), the population
@@ -61,6 +68,7 @@ and ``tests/sim/test_sync_barrier.py``):
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -422,6 +430,7 @@ class _Epoch:
         "alloc_has",
         "alloc_val",
         "weight_val",
+        "grant_rows",
         "max_start",
         "min_end",
         "fz",
@@ -458,7 +467,11 @@ class _Epoch:
         return m
 
     def refresh_grant_inputs(self, allocations: Dict[Task, float], weights: Dict[Task, float]) -> None:
-        """The rows' grant inputs, ``max(0, .)``-clamped as ``compute_grants`` reads them."""
+        """The rows' grant inputs, ``max(0, .)``-clamped as ``compute_grants`` reads them.
+
+        Built from the engine's dicts on an epoch's first tick and after
+        an edit other than a market round's ``set_allocations``.
+        """
         n = self.n
         self.alloc_has = np.fromiter(
             (t in allocations for t in self.tasks), dtype=bool, count=n
@@ -472,6 +485,24 @@ class _Epoch:
         self.alloc_val = np.where(alloc > 0.0, alloc, 0.0)
         self.weight_val = np.where(weight > 0.0, weight, 0.0)
         self.g_key = None
+
+    def rows_of(self, tasks: Sequence[Task]) -> Optional["np.ndarray"]:
+        """The rows of ``tasks``, or ``None`` if one is off the epoch.
+
+        One ``rowmap`` walk per task sequence object: a market round
+        hands over the same sequence while its rows keep their order.
+        """
+        cached = self.grant_rows
+        if cached is not None and cached[0] is tasks:
+            return cached[1]
+        try:
+            rows = np.fromiter(
+                map(self.rowmap.__getitem__, tasks), dtype=np.intp, count=len(tasks)
+            )
+        except KeyError:
+            return None
+        self.grant_rows = (tasks, rows)
+        return rows
 
     def ordered_rows(self, active: "np.ndarray", frozen: "np.ndarray") -> List[int]:
         """Active store rows in scalar dispatch-update order.
@@ -591,7 +622,6 @@ class ColumnarSimulation(Simulation):
         )
         self.metrics = ColumnarMetrics(warmup_s=self.config.metrics_warmup_s, sim=self)
         self._epoch: Optional[_Epoch] = None
-        self._grant_inputs_dirty = True
         self._hr_cache: Optional["np.ndarray"] = None
         self._hr_stamp = -1
         # (tasks list object, epoch, row indices) for gather_demand_inputs;
@@ -622,7 +652,6 @@ class ColumnarSimulation(Simulation):
         self.sync()
         super()._population_changed()
         self._epoch = None
-        self._grant_inputs_dirty = True
         self._hr_cache = None
         self._hr_stamp = -1
         self._gather_cache = None
@@ -679,24 +708,47 @@ class ColumnarSimulation(Simulation):
             self._migrated.append(task)
         return record
 
+    def _grant_inputs_changed(self) -> None:
+        """Rebuild the epoch's grant inputs from the dicts on the next tick."""
+        if self._epoch is not None:
+            self._epoch.alloc_has = None
+
     def set_allocation(self, task: Task, pus: float) -> None:
-        self._grant_inputs_dirty = True
+        self._grant_inputs_changed()
         super().set_allocation(task, pus)
 
-    def set_allocations(self, pairs: Dict[Task, float]) -> None:
-        self._grant_inputs_dirty = True
-        super().set_allocations(pairs)
+    def set_allocations(self, tasks: Sequence[Task], pus: "np.ndarray | array") -> None:
+        """The round's grants, also scattered into the epoch's grant inputs.
+
+        The clamp is the object loop's, as one array expression.  The rows
+        come from the epoch's index of ``tasks``; an epoch whose inputs
+        are not built yet, or that lacks one of ``tasks``, builds them
+        from the dicts on its next tick instead.
+        """
+        pus = np.asarray(pus)
+        clamped = np.where(pus > 0.0, pus, 0.0)
+        self._allocations.update(zip(tasks, clamped.tolist()))
+        ep = self._epoch
+        if ep is None or ep.alloc_has is None:
+            return
+        rows = ep.rows_of(tasks)
+        if rows is None:
+            ep.alloc_has = None
+            return
+        ep.alloc_val[rows] = clamped
+        ep.alloc_has[rows] = True
+        ep.g_key = None
 
     def clear_allocation(self, task: Task) -> None:
-        self._grant_inputs_dirty = True
+        self._grant_inputs_changed()
         super().clear_allocation(task)
 
     def clear_allocations(self) -> None:
-        self._grant_inputs_dirty = True
+        self._grant_inputs_changed()
         super().clear_allocations()
 
     def set_weight(self, task: Task, weight: float) -> None:
-        self._grant_inputs_dirty = True
+        self._grant_inputs_changed()
         super().set_weight(task, weight)
 
     # -- columnar observability ---------------------------------------------------
@@ -839,6 +891,13 @@ class ColumnarSimulation(Simulation):
         cores = ep.cores
         for name in _ROW_COLUMNS:
             setattr(ep, name, getattr(old, name)[perm])
+        # The grant inputs are per-task too: carried over while current.
+        if old.alloc_has is not None:
+            ep.alloc_has = old.alloc_has[perm]
+            ep.alloc_val = old.alloc_val[perm]
+            ep.weight_val = old.weight_val[perm]
+        else:
+            ep.alloc_has = ep.alloc_val = ep.weight_val = None
         # cost_pu_s_per_beat depends on the hosting core type only:
         # recompute just the rows whose type changed (normally the one
         # migrated task).
@@ -942,6 +1001,7 @@ class ColumnarSimulation(Simulation):
         ep.load = np.fromiter((tracked.get(t, 0.0) for t in tasks), dtype=float, count=n)
         ep.has_load = np.fromiter((t in tracked for t in tasks), dtype=bool, count=n)
         ep.fz = np.fromiter((t.frozen_until for t in tasks), dtype=float, count=n)
+        ep.alloc_has = ep.alloc_val = ep.weight_val = None
         self._summarise_rows(ep)
         self._group_phases(ep)
 
@@ -1153,13 +1213,10 @@ class ColumnarSimulation(Simulation):
         column is ahead of it.  A permuted epoch keeps the dirty stamps.
         """
         ep.all_has_load = ep.n > 0 and bool(ep.has_load.all())
-        ep.alloc_has = None
-        ep.alloc_val = None
-        ep.weight_val = None
+        ep.grant_rows = None
         ep.g_key = None
         ep.g_grants = None
         ep.g_terms = None
-        self._grant_inputs_dirty = True
         self._hr_cache = None
         self._hr_stamp = -1
         if clean:
@@ -1279,9 +1336,8 @@ class ColumnarSimulation(Simulation):
         keeps the grants until the supplies, allocations or weights
         change, and the rest while the phase multipliers are constant too.
         """
-        if self._grant_inputs_dirty or ep.alloc_has is None:
+        if ep.alloc_has is None:
             ep.refresh_grant_inputs(self._allocations, self._weights)
-            self._grant_inputs_dirty = False
         key = tuple(cl.supply_pus for cl in ep.clusters)
         if runnable is None and ep.g_key == key:
             if ep.dem_const is not None:

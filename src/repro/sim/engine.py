@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Tuple
+
+import numpy as np
 
 from ..hw.energy import EnergyMeter
 from ..hw.migration import MigrationCostModel
@@ -360,14 +363,16 @@ class Simulation:
         """Pin an explicit supply allocation for ``task`` (PPM market)."""
         self._allocations[task] = max(0.0, pus)
 
-    def set_allocations(self, pairs: Dict[Task, float]) -> None:
-        """Bulk form of :meth:`set_allocation` (one market round's grants).
+    def set_allocations(self, tasks: Sequence[Task], pus: np.ndarray | array) -> None:
+        """One market round's grants: ``pus[i]`` for ``tasks[i]``, in row order.
 
-        Insertion order and clamping match a :meth:`set_allocation` loop
-        over ``pairs.items()`` exactly.
+        ``pus`` is the round's float64 supply column (``RoundResult.supplies``).
+        Insertion order and clamp are a :meth:`set_allocation` loop's over
+        the rows: ``v if v > 0.0 else 0.0`` is ``max(0.0, v)``, for -0.0
+        and NaN too.
         """
         self._allocations.update(
-            (task, max(0.0, pus)) for task, pus in pairs.items()
+            zip(tasks, [v if v > 0.0 else 0.0 for v in pus.tolist()])
         )
 
     def clear_allocation(self, task: Task) -> None:

@@ -11,16 +11,26 @@ Two kinds of guarantee, both driven by hypothesis:
   priority split) *bit for bit*, because replay journals and golden
   telemetry digests depend on exact float identity.
 
+A differential then runs whole markets through both clearing paths,
+``Market.run_round``'s scalar steps and ``_run_clearing_vectorized``,
+round after round, and holds every output and every agent equal.
+
 The scheduler's grant kernel is tested next to the scalar rule, in
 ``tests/sim/test_scheduler.py``.
 """
+
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.market as market_module
 from repro.core.agents import TaskAgent
+from repro.core.config import MarketConfig
+from repro.core.market import Market, MarketObservations
 from repro.core.money import Wallet
 from repro.core.vecmarket import (
     clear_prices,
@@ -217,3 +227,122 @@ class TestUnsatisfiedRounds:
             agent.unsatisfied_rounds = int(unsat[k])
             agent.note_round_outcome()
             assert int(out[k]) == agent.unsatisfied_rounds
+
+
+# -- scalar steps vs the vectorized clearing, whole rounds -------------------
+
+CLUSTERS = {
+    "little": (["l0", "l1", "l2"], [250.0, 400.0, 600.0, 800.0, 1000.0]),
+    "big": (["b0", "b1"], [500.0, 900.0, 1300.0, 1700.0]),
+}
+CORES = [core for cores, _ladder in CLUSTERS.values() for core in cores]
+
+
+def _market(priorities, cores, wtdp):
+    market = Market(MarketConfig(wtdp=wtdp))
+    for cluster_id, (core_ids, ladder) in CLUSTERS.items():
+        market.add_cluster(cluster_id, core_ids, ladder)
+    for i, (priority, core) in enumerate(zip(priorities, cores)):
+        market.add_task("t%d" % i, priority, core)
+    return market
+
+
+def _demand(rng):
+    """Mostly positive demands, with zeros, -0.0 and negatives mixed in."""
+    r = rng.random()
+    if r < 0.1:
+        return 0.0
+    if r < 0.15:
+        return -0.0
+    if r < 0.25:
+        return -rng.uniform(0.0, 500.0)
+    return rng.uniform(1.0, 2500.0)
+
+
+def _round_outputs(market, result):
+    """Everything the two paths must agree on, floats as ``float.hex``."""
+    agents = market.tasks
+    supplies = [float.hex(v) for v in result.supplies.tolist()]
+    # The column's rows are the agents'.
+    assert supplies == [float.hex(agents[tid].supply) for tid in result.task_ids]
+    assert sorted(result.task_ids) == sorted(agents)
+    return (
+        result.task_ids,
+        supplies,
+        [(core, float.hex(p)) for core, p in result.prices.items()],
+        result.level_requests,
+        [
+            (
+                tid,
+                float.hex(a.bid),
+                float.hex(a.supply),
+                float.hex(a.wallet.savings),
+                float.hex(a.wallet.allowance),
+                a.unsatisfied_rounds,
+            )
+            for tid, a in agents.items()
+        ],
+    )
+
+
+class TestScalarVectorClearing:
+    """The scalar steps and ``_run_clearing_vectorized``, bit for bit.
+
+    ``Market.run_round`` takes the vectorized clearing from
+    ``VEC_MIN_TASKS`` market tasks up; patching the threshold forces
+    either path at any size.  Each example draws 1-60 tasks and runs up
+    to 25 rounds: tasks move between rounds, the regulators take 0-2
+    rounds to apply a requested level (so clusters freeze, observe and
+    trade again), and demands include zero, -0.0 and negative values.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        rounds=st.integers(min_value=1, max_value=25),
+        wtdp=st.sampled_from([None, 2.5, 4.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_paths_agree_round_after_round(self, n, rounds, wtdp, seed):
+        rng = random.Random(seed)
+        priorities = [rng.randint(1, 8) for _ in range(n)]
+        cores = [rng.choice(CORES) for _ in range(n)]
+        scalar = _market(priorities, cores, wtdp)
+        vector = _market(priorities, cores, wtdp)
+        # cluster -> [applied level, target level, rounds still in transition]
+        regulators = {cid: [0, 0, 0] for cid in CLUSTERS}
+        for _round in range(rounds):
+            if rng.random() < 0.4:
+                for _move in range(rng.randint(1, 3)):
+                    task_id, core = "t%d" % rng.randrange(n), rng.choice(CORES)
+                    scalar.move_task(task_id, core)
+                    vector.move_task(task_id, core)
+            power = rng.uniform(0.0, 8.0)
+            share = rng.random()
+            obs = MarketObservations(
+                demands={"t%d" % i: _demand(rng) for i in range(n)},
+                cluster_level={cid: reg[0] for cid, reg in regulators.items()},
+                cluster_in_transition={
+                    cid: reg[2] > 0 for cid, reg in regulators.items()
+                },
+                chip_power_w=power,
+                cluster_power_w={"little": power * share, "big": power * (1.0 - share)},
+            )
+            with mock.patch.object(market_module, "VEC_MIN_TASKS", 10**9):
+                scalar_result = scalar.run_round(obs)
+            with mock.patch.object(market_module, "VEC_MIN_TASKS", 0):
+                vector_result = vector.run_round(obs)
+            assert _round_outputs(scalar, scalar_result) == _round_outputs(
+                vector, vector_result
+            )
+            for reg in regulators.values():
+                if reg[2] > 0:
+                    reg[2] -= 1
+                    if reg[2] == 0:
+                        reg[0] = reg[1]
+            for cid, level in scalar_result.level_requests.items():
+                reg = regulators[cid]
+                reg[1] = max(0, min(len(CLUSTERS[cid][1]) - 1, level))
+                reg[2] = rng.randint(0, 2)
+                if reg[2] == 0:
+                    reg[0] = reg[1]

@@ -9,7 +9,9 @@ time).
 """
 
 import math
+from array import array
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -221,6 +223,26 @@ class TestMarketWatchdog:
         )
         assert tripped and watchdog.in_safe_mode
         assert "non-finite" in watchdog.trip_reasons[0]
+        # The round's supply column, from either clearing path, trips on
+        # its first non-finite row.
+        rows = ("a", "b", "c", "d")
+        for column in (np.array, lambda values: array("d", values)):
+            watchdog = MarketWatchdog()
+            assert not watchdog.record_round(
+                chip_power_w=1.0,
+                wtdp=None,
+                task_ids=rows,
+                supplies=column([0.0, 1.0, 2.0, 3.0]),
+            )
+            tripped = watchdog.record_round(
+                chip_power_w=1.0,
+                wtdp=None,
+                prices={"big": 2.0},
+                task_ids=rows,
+                supplies=column([1.0, float("inf"), 2.0, float("nan")]),
+            )
+            assert tripped and watchdog.in_safe_mode
+            assert watchdog.trip_reasons == ["non-finite allocation for b: inf"]
 
     def test_divergence_needs_a_sustained_streak(self):
         watchdog = MarketWatchdog(

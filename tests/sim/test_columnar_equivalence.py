@@ -112,6 +112,12 @@ def _assert_equivalent(obj, col, label):
     la = [(t.name, v) for t, v in obj.load_tracker._load.items()]
     lb = [(t.name, v) for t, v in col.load_tracker._load.items()]
     assert la == lb, "%s: load-tracker dict diverged" % label
+    # The allocation and weight dicts are checkpoint bytes: keys, values
+    # and insertion order.
+    for attr in ("_allocations", "_weights"):
+        da = [(t.name, v) for t, v in getattr(obj, attr).items()]
+        db = [(t.name, v) for t, v in getattr(col, attr).items()]
+        assert da == db, "%s: %s diverged" % (label, attr)
     for ta, tb in zip(obj.tasks, col.tasks):
         for attr in ("total_beats", "total_work_pu_s", "last_supply_pus",
                      "last_consumed_pus", "frozen_until", "migrations"):
